@@ -4,14 +4,15 @@ Tableau files hold two lines: a shape ("5,3,1/" or "6,4,2/3,1") and a
 filling with rows separated by "/" and primes as trailing apostrophes
 ("1 1 1 1 3' / 2 2 3' / 3").  Commands that output tableaux print the same
 two-line format, so outputs feed back in as inputs.  Exit codes: 0 success,
-1 a verification suite found violations, 2 usage errors.
+1 a verification suite found violations, 2 usage errors, 3 an internal
+error (an InvariantError: a fact the theory guarantees failed to hold).
 """
 
 import argparse
 import json
 import sys
 
-from .core import ShiftedTableau, SkewShape, StrictPartition, enumerate_tableaux
+from .core import InvariantError, ShiftedTableau, SkewShape, StrictPartition, enumerate_tableaux
 from .graph import build_graph, export_dot, export_json, lrs_count
 from .involutions import eta, eta_interval, evacuate, reversal
 from .jdt import rectify
@@ -33,7 +34,7 @@ def _print_tableau(T: ShiftedTableau):
 
 
 def _alphabet(args, T: ShiftedTableau) -> int:
-    return args.n if args.n else max(T.max_value(), 1)
+    return args.n if args.n is not None else max(T.max_value(), 1)
 
 
 def _cmd_enumerate(args):
@@ -93,37 +94,27 @@ def _cmd_graph(args):
     return 0
 
 
+# Per suite: which command line flags it takes, and under which keyword.
+_VERIFY_FLAGS = {
+    "cactus": {"shape": "shape", "n": "n", "max_size": "max_vertices"},
+    "braid": {"shape": "shape", "n": "n", "max_size": "max_vertices"},
+    "knuth": {"max_size": "max_len", "shape": "bound", "n": "n_max", "seed": "seed"},
+    "symmetry": {"shape": "bound"},
+    "structure": {"shape": "bound", "n": "n"},
+    "all": {"seed": "seed"},
+}
+
+
 def _cmd_verify(args):
     suite = SUITES[args.suite]
-    kwargs = {}
-    if args.suite in ("cactus", "braid"):
-        if args.shape:
-            kwargs["shape"] = args.shape
-        if args.n:
-            kwargs["n"] = args.n
-        if args.max_size:
-            kwargs["max_vertices"] = args.max_size
-    elif args.suite == "knuth":
-        if args.max_size:
-            kwargs["max_len"] = args.max_size
-        kwargs["seed"] = args.seed
-    elif args.suite == "symmetry":
-        if args.shape:
-            kwargs["bound"] = args.shape
-    elif args.suite == "structure":
-        if args.shape:
-            kwargs["bound"] = args.shape
-        if args.n:
-            kwargs["n"] = args.n
-    elif args.suite == "all":
-        kwargs["seed"] = args.seed
+    kwargs = {keyword: getattr(args, flag)
+              for flag, keyword in _VERIFY_FLAGS[args.suite].items()
+              if getattr(args, flag) is not None}
     report = suite(**kwargs)
     print(report["summary"])
+    # the "all" report carries its violations in its sub-reports only
     violations = report.get("violations", [])
-    if args.suite == "all":
-        for sub in report["reports"]:
-            violations = violations + sub.get("violations", [])
-    if violations and args.suite != "all":
+    if violations:
         print(json.dumps(violations[: args.max_report], indent=1))
     return 0 if report["ok"] else 1
 
@@ -202,6 +193,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

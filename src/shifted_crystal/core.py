@@ -9,6 +9,12 @@ on the main diagonal (r, r).  Letters come from the primed alphabet
 Words and tableaux are stored in canonical form (the first letter of each
 value in reading order is unprimed); non-canonical fillings exist only
 transiently inside operations and are normalized before they escape.
+
+A tableau is stored once, as its shape plus its reading word; a shape maps
+each of its cells to its index in reading order, so the letter in a cell is
+one dictionary lookup away.  Jeu de taquin and the primed operators both
+rebuild a word from its standardization and letter values, and share
+destandardize_codes for it.
 """
 
 import functools
@@ -203,9 +209,13 @@ def strict_partitions_inside(bound) -> list:
 # Skew shifted shapes
 
 class SkewShape:
-    """A shifted skew shape outer/inner with precomputed cell data."""
+    """A shifted skew shape outer/inner with precomputed cell data.
 
-    __slots__ = ("outer", "inner", "cells_reading", "cell_set", "_hash")
+    cells_reading lists the cells in reading order (rows bottom to top, left
+    to right); position maps each cell to its index in that list.
+    """
+
+    __slots__ = ("outer", "inner", "cells_reading", "position", "_hash")
 
     def __init__(self, outer, inner=EMPTY_PARTITION):
         outer = StrictPartition(outer)
@@ -219,7 +229,7 @@ class SkewShape:
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "cells_reading", tuple(cells))
-        object.__setattr__(self, "cell_set", frozenset(cells))
+        object.__setattr__(self, "position", {cell: k for k, cell in enumerate(cells)})
         object.__setattr__(self, "_hash", hash((outer.parts, inner.parts)))
 
     def __setattr__(self, name, value):
@@ -241,6 +251,11 @@ class SkewShape:
     def is_straight(self) -> bool:
         return not self.inner
 
+    @property
+    def cell_set(self):
+        """The cells, as a read-only set view."""
+        return self.position.keys()
+
     def row_span(self, r: int):
         """Columns (first, last) of the filled cells of row r; None if empty."""
         lo = r + self.inner.part(r)
@@ -248,7 +263,7 @@ class SkewShape:
         return (lo, hi) if lo <= hi else None
 
     def __contains__(self, cell):
-        return cell in self.cell_set
+        return cell in self.position
 
     def __eq__(self, other):
         return (
@@ -327,6 +342,31 @@ def prime_split(positions):
     return valid[0] if valid else None
 
 
+def destandardize_codes(values, positions):
+    """The canonical word with a given standardization and letter values.
+
+    values[m] and positions[m] are the letter value and the word position
+    of standardization number m + 1; values must be weakly increasing.
+    Each block of equal values takes its unique prime split.  Returns the
+    codes by word position, or None when some block has no canonical split.
+    """
+    codes = [0] * len(values)
+    start = 0
+    while start < len(values):
+        v = values[start]
+        end = start + 1
+        while end < len(values) and values[end] == v:
+            end += 1
+        block = positions[start:end]
+        j = prime_split(block)
+        if j is None:
+            return None
+        for t, p in enumerate(block):
+            codes[p] = letter(v, t < j)
+        start = end
+    return tuple(codes)
+
+
 class Word:
     """A word over the primed alphabet, stored in canonical form."""
 
@@ -350,9 +390,6 @@ class Word:
     def parse(cls, text: str, n=None) -> "Word":
         toks = text.split()
         return cls((parse_letter(t) for t in toks), n)
-
-    def letters(self):
-        return tuple((letter_value(x), is_primed(x)) for x in self.codes)
 
     def weight(self) -> tuple:
         counts = [0] * self.n
@@ -399,19 +436,19 @@ def canonicalize(letters, n=None) -> Word:
 # Shifted tableaux
 
 class ShiftedTableau:
-    """A semistandard shifted skew tableau in canonical form."""
+    """A semistandard shifted skew tableau in canonical form.
 
-    __slots__ = ("shape", "entries", "word_codes", "_hash")
+    Stored as its shape and its reading word: word[k] fills the cell
+    shape.cells_reading[k].
+    """
 
-    def __init__(self, shape: SkewShape, entries: dict, validate: bool = True):
-        entries = dict(entries)
-        word = tuple(entries[cell] for cell in shape.cells_reading) \
-            if len(entries) == shape.size and all(c in entries for c in shape.cells_reading) \
-            else None
-        if word is None:
-            raise ValueError("entries do not exactly cover the shape")
+    __slots__ = ("shape", "word_codes", "_hash")
+
+    def __init__(self, shape: SkewShape, word, validate: bool = True):
+        word = tuple(word)
+        if len(word) != shape.size:
+            raise ValueError("word length does not match shape size")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "word_codes", word)
         object.__setattr__(self, "_hash", hash((shape, word)))
         if validate:
@@ -421,13 +458,6 @@ class ShiftedTableau:
         raise AttributeError("ShiftedTableau is immutable")
 
     # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_word(cls, shape: SkewShape, codes, validate=True) -> "ShiftedTableau":
-        codes = tuple(codes)
-        if len(codes) != shape.size:
-            raise ValueError("word length does not match shape size")
-        return cls(shape, dict(zip(shape.cells_reading, codes)), validate)
 
     @classmethod
     def from_rows(cls, rows, inner=EMPTY_PARTITION) -> "ShiftedTableau":
@@ -443,12 +473,7 @@ class ShiftedTableau:
         outer = StrictPartition(
             tuple(inner.part(r) + len(parsed[r - 1]) for r in range(1, len(parsed) + 1))
         )
-        shape = SkewShape(outer, inner)
-        entries = {}
-        for r, row in enumerate(parsed, start=1):
-            for k, code in enumerate(row):
-                entries[(r, r + inner.part(r) + k)] = code
-        return cls(shape, entries)
+        return cls(SkewShape(outer, inner), [x for row in reversed(parsed) for x in row])
 
     @classmethod
     def parse(cls, shape_text: str, filling_text: str) -> "ShiftedTableau":
@@ -458,50 +483,58 @@ class ShiftedTableau:
             raise ValueError(
                 f"expected {len(shape.outer)} rows in filling, got {len(chunks)}"
             )
-        entries = {}
-        for r, chunk in enumerate(chunks, start=1):
-            toks = chunk.split()
+        word = []
+        for r in range(len(chunks), 0, -1):
+            toks = chunks[r - 1].split()
             span = shape.row_span(r)
             expected = 0 if span is None else span[1] - span[0] + 1
             if len(toks) != expected:
                 raise ValueError(f"row {r} expects {expected} cells, got {len(toks)}")
-            for k, tok in enumerate(toks):
-                entries[(r, span[0] + k)] = parse_letter(tok)
-        return cls(shape, entries)
+            word.extend(parse_letter(tok) for tok in toks)
+        return cls(shape, word)
 
     # -- invariants ----------------------------------------------------------
 
     def check(self):
-        rows_primed = {}
-        cols_unprimed = {}
-        for (r, c), x in self.entries.items():
+        word = self.word_codes
+        position = self.shape.position
+        rows_primed = set()
+        cols_unprimed = set()
+        for (r, c), x in zip(self.shape.cells_reading, word):
             if x < 1:
                 raise ValueError(f"bad letter code {x}")
-            v, p = letter_value(x), is_primed(x)
-            west = self.entries.get((r, c - 1))
-            if west is not None and west > x:
+            west = position.get((r, c - 1))
+            if west is not None and word[west] > x:
                 raise ValueError(f"row {r} decreasing at column {c}")
-            north = self.entries.get((r - 1, c))
-            if north is not None and north > x:
+            north = position.get((r - 1, c))
+            if north is not None and word[north] > x:
                 raise ValueError(f"column {c} decreasing at row {r}")
-            if p:
-                key = (r, v)
-                if key in rows_primed:
+            v = (x + 1) // 2
+            if x % 2:
+                if (r, v) in rows_primed:
                     raise ValueError(f"two {v}' in row {r}")
-                rows_primed[key] = True
+                rows_primed.add((r, v))
             else:
-                key = (c, v)
-                if key in cols_unprimed:
+                if (c, v) in cols_unprimed:
                     raise ValueError(f"two unprimed {v} in column {c}")
-                cols_unprimed[key] = True
-        if self.word_codes != canonicalize_codes(self.word_codes):
+                cols_unprimed.add((c, v))
+        if word != canonicalize_codes(word):
             raise ValueError("reading word is not in canonical form")
         return self
 
     # -- accessors -----------------------------------------------------------
 
     def entry(self, r: int, c: int):
-        return self.entries.get((r, c))
+        k = self.shape.position.get((r, c))
+        return None if k is None else self.word_codes[k]
+
+    def _row(self, r: int) -> tuple:
+        """Letter codes of row r, left to right."""
+        span = self.shape.row_span(r)
+        if span is None:
+            return ()
+        start = self.shape.position[(r, span[0])]
+        return self.word_codes[start:start + span[1] - span[0] + 1]
 
     def reading_word(self, n=None) -> Word:
         return Word(self.word_codes, n)
@@ -522,14 +555,11 @@ class ShiftedTableau:
         """Outer boundary of the sub-shape holding letters of value <= v."""
         parts = []
         for r in range(1, len(self.shape.outer) + 1):
-            span = self.shape.row_span(r)
             last = self.shape.inner.part(r)
-            if span is not None:
-                for c in range(span[0], span[1] + 1):
-                    if letter_value(self.entries[(r, c)]) <= v:
-                        last = c - r + 1
-                    else:
-                        break
+            for x in self._row(r):
+                if letter_value(x) > v:
+                    break
+                last += 1
             parts.append(last)
         try:
             return StrictPartition(parts)
@@ -540,20 +570,20 @@ class ShiftedTableau:
         """Sub-tableau on the letters with value in [p, q], re-canonicalized."""
         if p > q:
             return EMPTY_TABLEAU
-        sub = {
-            cell: x for cell, x in self.entries.items()
-            if p <= letter_value(x) <= q
-        }
-        if not sub:
+        cells, codes = [], []
+        for cell, x in zip(self.shape.cells_reading, self.word_codes):
+            if p <= letter_value(x) <= q:
+                cells.append(cell)
+                codes.append(x)
+        if not cells:
             return EMPTY_TABLEAU
         outer = self.value_boundary(q)
         inner = self.value_boundary(p - 1) if p > 1 else self.shape.inner
         shape = SkewShape(outer, inner)
-        if shape.cell_set != frozenset(sub):
+        # both cell lists are in reading order, so equal lists mean equal sets
+        if shape.cells_reading != tuple(cells):
             raise InvariantError("interval restriction does not match its boundary")
-        return ShiftedTableau.from_word(
-            shape, canonicalize_codes(tuple(sub[c] for c in shape.cells_reading))
-        )
+        return ShiftedTableau(shape, canonicalize_codes(codes))
 
     def relabel(self, shift: int) -> "ShiftedTableau":
         """Shift every letter value by a constant, keeping primes."""
@@ -562,7 +592,7 @@ class ShiftedTableau:
         codes = tuple(x + 2 * shift for x in self.word_codes)
         if any(x < 1 for x in codes):
             raise ValueError("relabel would produce non-positive values")
-        return ShiftedTableau.from_word(self.shape, codes)
+        return ShiftedTableau(self.shape, codes)
 
     # -- dunder --------------------------------------------------------------
 
@@ -577,27 +607,16 @@ class ShiftedTableau:
         return self._hash
 
     def __str__(self):
-        rows = []
-        for r in range(1, len(self.shape.outer) + 1):
-            span = self.shape.row_span(r)
-            if span is None:
-                rows.append("")
-            else:
-                rows.append(" ".join(letter_str(self.entries[(r, c)])
-                                     for c in range(span[0], span[1] + 1)))
-        return " / ".join(rows)
+        return " / ".join(
+            " ".join(letter_str(x) for x in self._row(r))
+            for r in range(1, len(self.shape.outer) + 1)
+        )
 
     def __repr__(self):
         return f"ShiftedTableau({self.shape!r}, {str(self)!r})"
 
 
-EMPTY_TABLEAU = ShiftedTableau(EMPTY_SHAPE, {})
-
-
-def canonicalize_filling(shape: SkewShape, entries: dict) -> ShiftedTableau:
-    """Rebuild a tableau from a filling, normalizing to canonical form."""
-    codes = canonicalize_codes(tuple(entries[c] for c in shape.cells_reading))
-    return ShiftedTableau.from_word(shape, codes)
+EMPTY_TABLEAU = ShiftedTableau(EMPTY_SHAPE, ())
 
 
 # ---------------------------------------------------------------------------
@@ -609,22 +628,24 @@ def _enumerate_cached(outer_parts, inner_parts, n):
     cells = shape.cells_reading
     if not cells:
         return (EMPTY_TABLEAU if shape == EMPTY_SHAPE
-                else ShiftedTableau(shape, {}),)
+                else ShiftedTableau(shape, ()),)
+    # reading positions of the west and south neighbours, both read earlier
+    west_of = [shape.position.get((r, c - 1)) for r, c in cells]
+    below_of = [shape.position.get((r + 1, c)) for r, c in cells]
     results = []
-    entries = {}
+    word = [0] * len(cells)
     value_seen = Counter()
     row_primed = set()
     col_unprimed = set()
 
     def place(idx):
         if idx == len(cells):
-            results.append(ShiftedTableau(shape, entries, validate=False))
+            results.append(ShiftedTableau(shape, word, validate=False))
             return
         r, c = cells[idx]
-        west = entries.get((r, c - 1))
-        below = entries.get((r + 1, c))
-        lo = west if west is not None else 1
-        hi = below if below is not None else 2 * n
+        west, below = west_of[idx], below_of[idx]
+        lo = word[west] if west is not None else 1
+        hi = word[below] if below is not None else 2 * n
         for code in range(lo, hi + 1):
             v = (code + 1) // 2
             if v > n:
@@ -639,11 +660,10 @@ def _enumerate_cached(outer_parts, inner_parts, n):
                     continue
                 mark = (c, v)
                 col_unprimed.add(mark)
-            entries[(r, c)] = code
+            word[idx] = code
             value_seen[v] += 1
             place(idx + 1)
             value_seen[v] -= 1
-            del entries[(r, c)]
             (row_primed if code % 2 else col_unprimed).discard(mark)
 
     place(0)
@@ -696,17 +716,21 @@ def splice(parts, shape: SkewShape = None) -> ShiftedTableau:
     The parts must occupy pairwise disjoint cells whose union is a valid
     skew shifted shape; semistandardness across the seams is enforced.
     """
-    entries = {}
-    for part in parts:
-        for cell, x in part.entries.items():
-            if cell in entries:
-                raise ValueError(f"overlapping cell {cell} in splice")
-            entries[cell] = x
+    filled = [pair for part in parts
+              for pair in zip(part.shape.cells_reading, part.word_codes)]
     if shape is None:
-        shape = _shape_from_cells(entries)
-    elif shape.cell_set != frozenset(entries):
+        shape = _shape_from_cells({cell for cell, _ in filled})
+    codes = [0] * shape.size
+    for cell, x in filled:
+        k = shape.position.get(cell)
+        if k is None:
+            raise ValueError("spliced cells do not cover the requested shape")
+        if codes[k]:
+            raise ValueError(f"overlapping cell {cell} in splice")
+        codes[k] = x
+    if len(filled) != shape.size:
         raise ValueError("spliced cells do not cover the requested shape")
     try:
-        return canonicalize_filling(shape, entries)
+        return ShiftedTableau(shape, canonicalize_codes(codes))
     except ValueError as exc:
         raise ValueError(f"splice produced a non-semistandard filling: {exc}") from exc

@@ -127,12 +127,6 @@ class CrystalGraph:
             comps.append(Component(ids, highest, lowest))
         return tuple(comps)
 
-    def component_of(self, vid: int) -> Component:
-        for comp in self.components:
-            if vid in set(comp.vertex_ids):
-                return comp
-        raise ValueError(f"vertex {vid} not found")
-
     def __repr__(self):
         return (f"CrystalGraph(shape={self.shape}, n={self.n}, "
                 f"|V|={len(self.vertices)}, |E|={len(self.edges)})")
@@ -395,6 +389,6 @@ def graph_from_json(text: str) -> CrystalGraph:
     vertices = []
     for rec in sorted(obj["vertices"], key=lambda r: r["id"]):
         word = Word.parse(rec["word"], n)
-        vertices.append(ShiftedTableau.from_word(shape, word.codes))
+        vertices.append(ShiftedTableau(shape, word.codes))
     edges = [(e["src"], e["dst"], e["color"], e["primed"]) for e in obj["edges"]]
     return CrystalGraph(shape, n, vertices, edges)

@@ -9,7 +9,7 @@ from .core import (
     InvariantError,
     ShiftedTableau,
     SkewShape,
-    canonicalize_filling,
+    canonicalize_codes,
     letter,
     letter_value,
     is_primed,
@@ -72,14 +72,16 @@ def star(T: ShiftedTableau, n: int) -> ShiftedTableau:
     if T.max_value() > n:
         raise ValueError(f"tableau uses values above n={n}")
     m = T.shape.outer.parts[0]
-    entries = {}
-    for (r, c), x in T.entries.items():
-        v = n - letter_value(x) + 1
-        entries[(m + 1 - c, m + 1 - r)] = letter(v, not is_primed(x))
     shape = SkewShape(T.shape.inner.complement(m), T.shape.outer.complement(m))
-    if shape.cell_set != frozenset(entries):
+    if shape.size != T.size:
         raise InvariantError("star reflection does not fill the complement shape")
-    return canonicalize_filling(shape, entries)
+    codes = [0] * shape.size
+    for (r, c), x in zip(T.shape.cells_reading, T.word_codes):
+        k = shape.position.get((m + 1 - c, m + 1 - r))
+        if k is None:
+            raise InvariantError("star reflection does not fill the complement shape")
+        codes[k] = letter(n - letter_value(x) + 1, not is_primed(x))
+    return ShiftedTableau(shape, canonicalize_codes(codes))
 
 
 def evacuate(T: ShiftedTableau, n: int) -> ShiftedTableau:

@@ -7,11 +7,14 @@ and south neighbours, an outer hole the larger of its west and north
 neighbours), and the letters are de-standardized at the end.
 De-standardization keeps each standardization number on its original value
 and re-derives the primes of every value block as the unique split that
-yields a canonical word; this is what produces the prime-adjusting
-exceptional slides near the diagonal.
+yields a canonical word (core.destandardize_codes); this is what produces
+the prime-adjusting exceptional slides near the diagonal.
+
+While a batch of slides runs, the outer and inner shapes are plain lists of
+parts, updated in place and checked for strictness at every step; a
+SkewShape and a ShiftedTableau are built once, when the batch finishes.
 """
 
-import itertools
 import random
 
 from .core import (
@@ -22,9 +25,9 @@ from .core import (
     StrictPartition,
     Word,
     canonicalize_codes,
+    destandardize_codes,
     letter,
     letter_value,
-    prime_split,
     standardize_codes,
 )
 
@@ -89,78 +92,54 @@ class SlideRecord:
 
 
 # ---------------------------------------------------------------------------
-# Shape bookkeeping for slides
+# Shape bookkeeping for slides, on strict partitions held as lists of parts
+
+def _inner_corners(mu):
+    corners = []
+    for r in range(1, len(mu) + 1):
+        c = r + mu[r - 1] - 1
+        below = mu[r] if r < len(mu) else 0
+        if not (r + 1 <= c <= r + below):
+            corners.append((r, c))
+    return corners
+
+
+def _addable_cells(parts):
+    cells = []
+    for r in range(1, len(parts) + 2):
+        part = parts[r - 1] if r <= len(parts) else 0
+        if r > 1 and parts[r - 2] <= part + 1:
+            continue
+        cells.append((r, r + part))
+    return cells
+
 
 def inner_corners(shape: SkewShape):
     """Maximal cells of the inner shape: where an inner slide may start."""
-    mu = shape.inner
-    out = []
-    for r in range(1, len(mu) + 1):
-        c = r + mu.part(r) - 1
-        if not (r + 1 <= c <= r + mu.part(r + 1)):
-            out.append((r, c))
-    return out
+    return _inner_corners(shape.inner.parts)
 
 
 def addable_cells(outer: StrictPartition):
     """Cells that may be appended to a strict partition shape."""
-    out = []
-    for r in range(1, len(outer) + 2):
-        if r > 1 and outer.part(r - 1) <= outer.part(r) + 1:
-            continue
-        if r > len(outer) + 1:
-            continue
-        out.append((r, r + outer.part(r)))
-    return out
+    return _addable_cells(outer.parts)
 
 
-def _remove_part_cell(parts: StrictPartition, r: int) -> StrictPartition:
-    lst = list(parts.parts)
-    lst[r - 1] -= 1
-    return StrictPartition(lst)
+def _resize_row(parts, r, step):
+    """Add a cell to row r (step 1) or take one from it (step -1), in place.
 
-
-def _add_part_cell(parts: StrictPartition, r: int) -> StrictPartition:
-    lst = list(parts.parts)
-    if r == len(lst) + 1:
-        lst.append(1)
-    else:
-        lst[r - 1] += 1
-    return StrictPartition(lst)
-
-
-# ---------------------------------------------------------------------------
-# Standardization bridge
-
-def _standardize(T: ShiftedTableau):
-    """Standard filling (cell -> number) plus the value carried by each number."""
-    std_word = standardize_codes(T.word_codes)
-    entries = {}
-    values = [0] * len(std_word)
-    for cell, num, code in zip(T.shape.cells_reading, std_word, T.word_codes):
-        entries[cell] = num
-        values[num - 1] = letter_value(code)
-    return entries, tuple(values)
-
-
-def _destandardize(shape: SkewShape, std_entries: dict, values) -> ShiftedTableau:
-    order = shape.cells_reading
-    pos_of = {}
-    for idx, cell in enumerate(order):
-        pos_of[std_entries[cell]] = idx
-    codes = [0] * len(order)
-    for v, group in itertools.groupby(range(1, len(order) + 1), key=lambda m: values[m - 1]):
-        block = list(group)
-        q = [pos_of[m] for m in block]
-        j = prime_split(q)
-        if j is None:
-            raise InvariantError(f"no canonical prime split for positions {q}")
-        for t, m in enumerate(block):
-            codes[pos_of[m]] = letter(v, t < j)
-    try:
-        return ShiftedTableau.from_word(shape, tuple(codes))
-    except ValueError as exc:
-        raise InvariantError(f"de-standardization is not semistandard: {exc}") from exc
+    The parts must stay strictly decreasing.  A zero part can only be the
+    last one, which is dropped, so strictness also keeps every part positive.
+    """
+    if step > 0 and r == len(parts) + 1:
+        parts.append(0)
+    if not 1 <= r <= len(parts):
+        raise InvariantError(f"a slide changed the missing row {r} of {parts}")
+    parts[r - 1] += step
+    if parts[-1] == 0:
+        parts.pop()
+    for k in (r - 2, r - 1):
+        if 0 <= k < len(parts) - 1 and parts[k] <= parts[k + 1]:
+            raise InvariantError(f"parts {parts} are no longer strict after a slide")
 
 
 # ---------------------------------------------------------------------------
@@ -199,39 +178,57 @@ def _outer_slide_std(entries, r, c):
 
 
 class _SlideState:
-    """Mutable standard tableau used while a batch of slides runs."""
+    """Mutable standard tableau used while a batch of slides runs.
+
+    entries maps each cell to its standardization number; values[m] is the
+    letter value carried by number m + 1.
+    """
 
     __slots__ = ("entries", "outer", "inner", "values", "steps")
 
     def __init__(self, T: ShiftedTableau):
-        self.entries, self.values = _standardize(T)
-        self.outer = T.shape.outer
-        self.inner = T.shape.inner
+        std_word = standardize_codes(T.word_codes)
+        self.entries = dict(zip(T.shape.cells_reading, std_word))
+        self.values = [0] * len(std_word)
+        for num, code in zip(std_word, T.word_codes):
+            self.values[num - 1] = letter_value(code)
+        self.outer = list(T.shape.outer.parts)
+        self.inner = list(T.shape.inner.parts)
         self.steps = []
 
-    def shape(self) -> SkewShape:
-        return SkewShape(self.outer, self.inner)
-
     def slide_inner(self, corner):
-        if corner not in inner_corners(self.shape()):
-            raise ValueError(f"{corner} is not an inner corner of {self.shape()}")
+        if corner not in _inner_corners(self.inner):
+            shape = SkewShape(self.outer, self.inner)
+            raise ValueError(f"{corner} is not an inner corner of {shape}")
         end = _inner_slide_std(self.entries, *corner)
-        self.inner = _remove_part_cell(self.inner, corner[0])
-        self.outer = _remove_part_cell(self.outer, end[0])
+        _resize_row(self.inner, corner[0], -1)
+        _resize_row(self.outer, end[0], -1)
         self.steps.append(("inner", corner, end))
         return end
 
     def slide_outer(self, corner):
-        if corner not in addable_cells(self.outer):
-            raise ValueError(f"{corner} cannot start an outer slide on {self.outer}")
+        if corner not in _addable_cells(self.outer):
+            outer = StrictPartition(self.outer)
+            raise ValueError(f"{corner} cannot start an outer slide on {outer}")
         end = _outer_slide_std(self.entries, *corner)
-        self.outer = _add_part_cell(self.outer, corner[0])
-        self.inner = _add_part_cell(self.inner, end[0])
+        _resize_row(self.outer, corner[0], 1)
+        _resize_row(self.inner, end[0], 1)
         self.steps.append(("outer", corner, end))
         return end
 
     def finish(self) -> ShiftedTableau:
-        return _destandardize(self.shape(), self.entries, self.values)
+        """De-standardize into a tableau on the final shape."""
+        shape = SkewShape(self.outer, self.inner)
+        positions = [0] * shape.size
+        for k, cell in enumerate(shape.cells_reading):
+            positions[self.entries[cell] - 1] = k
+        codes = destandardize_codes(self.values, positions)
+        if codes is None:
+            raise InvariantError(f"no canonical prime split for {self.values} at {positions}")
+        try:
+            return ShiftedTableau(shape, codes)
+        except ValueError as exc:
+            raise InvariantError(f"de-standardization is not semistandard: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +256,7 @@ def rectify(T: ShiftedTableau, rng: random.Random = None):
     """
     state = _SlideState(T)
     while state.inner:
-        corners = sorted(inner_corners(state.shape()))
+        corners = _inner_corners(state.inner)  # in row order, hence sorted
         corner = corners[0] if rng is None else rng.choice(corners)
         state.slide_inner(corner)
     return state.finish(), SlideRecord(state.steps)
@@ -310,9 +307,7 @@ def strip_tableau(w: Word) -> ShiftedTableau:
         return EMPTY_TABLEAU
     outer = StrictPartition(2 * (N - r) + 1 for r in range(1, N + 1))
     inner = StrictPartition(2 * (N - r) for r in range(1, N))
-    shape = SkewShape(outer, inner)
-    entries = {(r, 2 * N - r): w.codes[N - r] for r in range(1, N + 1)}
-    return ShiftedTableau(shape, entries)
+    return ShiftedTableau(SkewShape(outer, inner), w.codes)
 
 
 def rectify_word(w: Word) -> Word:
@@ -327,8 +322,7 @@ def yamanouchi(nu) -> ShiftedTableau:
     """The tableau of shape nu whose i-th row is filled with i."""
     nu = StrictPartition(nu)
     shape = SkewShape(nu)
-    entries = {(r, c): letter(r) for (r, c) in shape.cells_reading}
-    return ShiftedTableau(shape, entries)
+    return ShiftedTableau(shape, [letter(r) for r, _ in shape.cells_reading])
 
 
 def is_lrs(T: ShiftedTableau) -> bool:

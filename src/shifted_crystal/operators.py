@@ -28,9 +28,8 @@ from .core import (
     ShiftedTableau,
     SkewShape,
     Word,
-    letter,
+    destandardize_codes,
     letter_value,
-    prime_split,
     splice,
     standardize_codes,
     enumerate_tableaux,
@@ -69,31 +68,20 @@ def _revalue_word(w: Word, src: int, dst: int):
     if L == 0:
         return None
     std = standardize_codes(w.codes)
-    pos = [0] * (L + 1)
-    values = [0] * (L + 1)
+    positions = [0] * L
+    values = [0] * L
     for j, (m, x) in enumerate(zip(std, w.codes)):
-        pos[m] = j
-        values[m] = letter_value(x)
-    block = [m for m in range(1, L + 1) if values[m] == src]
+        positions[m - 1] = j
+        values[m - 1] = letter_value(x)
+    block = [m for m in range(L) if values[m] == src]
     if not block:
         return None
     # moving the boundary number keeps values weakly increasing by number
     values[max(block) if dst > src else min(block)] = dst
-    codes = [0] * L
-    m = 1
-    while m <= L:
-        v = values[m]
-        end = m
-        while end + 1 <= L and values[end + 1] == v:
-            end += 1
-        q = [pos[num] for num in range(m, end + 1)]
-        j = prime_split(q)
-        if j is None:
-            return None
-        for t, num in enumerate(range(m, end + 1)):
-            codes[pos[num]] = letter(v, t < j)
-        m = end + 1
-    out = Word(tuple(codes), w.n)
+    codes = destandardize_codes(values, positions)
+    if codes is None:
+        return None
+    out = Word(codes, w.n)
     if standardize_codes(out.codes) != std:
         raise InvariantError(f"re-valuing of {w} changed the standardization")
     return out
@@ -117,7 +105,7 @@ def _refill(T: ShiftedTableau, w) -> ShiftedTableau:
     if w is None:
         return None
     try:
-        return ShiftedTableau.from_word(T.shape, w.codes)
+        return ShiftedTableau(T.shape, w.codes)
     except ValueError as exc:
         raise InvariantError(f"operator output not semistandard on {T.shape}: {exc}")
 
@@ -143,16 +131,62 @@ def primed_lower_tableau(T: ShiftedTableau, i: int, n: int):
 
 
 # ---------------------------------------------------------------------------
+# String arrangements
+
+def _string_error(problem, members):
+    return InvariantError(
+        f"{problem} in the {len(members)}-vertex string through {members[0]!r}")
+
+
+def _arrange(members, level, raise_op, lower_op):
+    """Arrangement of one string from its members and its dashed edges.
+
+    raise_op and lower_op are E' and F' on members; level is the weight
+    difference across the color.  Returns (kind, chains) with chains
+    ordered from highest weight down.  A single vertex is collapsed; a
+    repeated level, or exactly two vertices, forces a ladder of two chains
+    joined by dashed rungs; anything else is one chain along the dashed
+    path.
+    """
+    members = list(members)
+    if len(members) == 1:
+        return "collapsed", (tuple(members),)
+    levels = [level(U) for U in members]
+    if len(set(levels)) < len(levels) or len(members) == 2:
+        top = sorted((U for U in members if raise_op(U) is None), key=level, reverse=True)
+        bottom = sorted((U for U in members if lower_op(U) is None), key=level, reverse=True)
+        if len(top) != len(bottom) or 2 * len(top) != len(members) or set(top) & set(bottom):
+            raise _string_error("ladder chains malformed", members)
+        for chain in (top, bottom):
+            for a, b in zip(chain, chain[1:]):
+                if level(a) != level(b) + 2:
+                    raise _string_error("chain levels not in steps of 2", members)
+        for u, v in zip(top, bottom):
+            if lower_op(u) != v or raise_op(v) != u or level(u) != level(v) + 2:
+                raise _string_error("ladder rungs malformed", members)
+        return "separated", (tuple(top), tuple(bottom))
+    starts = [U for U in members if raise_op(U) is None]
+    if len(starts) != 1:
+        raise _string_error(f"single chain with {len(starts)} starts", members)
+    chain = [starts[0]]
+    while (U := lower_op(chain[-1])) is not None:
+        chain.append(U)
+    if len(chain) != len(members):
+        raise _string_error("dashed path does not cover the string", members)
+    return "collapsed", (tuple(chain),)
+
+
+# ---------------------------------------------------------------------------
 # The straight two-letter crystal
 
 class _TwoLetterString:
     __slots__ = ("kind", "chains", "f_map", "e_map")
 
-    def __init__(self, kind, chains, f_map, e_map):
+    def __init__(self, kind, chains):
         self.kind = kind
         self.chains = chains
-        self.f_map = f_map
-        self.e_map = e_map
+        self.f_map = {a: b for chain in chains for a, b in zip(chain, chain[1:])}
+        self.e_map = {b: a for a, b in self.f_map.items()}
 
 
 def _level(T):
@@ -162,52 +196,20 @@ def _level(T):
 
 @functools.lru_cache(maxsize=None)
 def _two_letter_string(outer_parts) -> _TwoLetterString:
-    """Solid-edge structure of the straight two-letter crystal on this shape."""
+    """Solid-edge structure of the straight two-letter crystal on this shape.
+
+    Solid edges run along each chain of the arrangement: the chains of a
+    ladder, or the single chain that carries both edge kinds.
+    """
     shape = SkewShape(outer_parts)
     verts = enumerate_tableaux(shape, 2)
     if not verts:
         raise InvariantError(f"no two-letter tableaux of shape {shape}")
-    fp = {T: primed_lower_tableau(T, 1, 2) for T in verts}
-    ep = {T: primed_raise_tableau(T, 1, 2) for T in verts}
-
-    if len(verts) == 1:
-        return _TwoLetterString("collapsed", (tuple(verts),), {}, {})
-
-    levels = sorted(_level(T) for T in verts)
-    repeated = len(set(levels)) < len(levels)
-
-    if repeated or len(verts) == 2:
-        top = sorted((T for T in verts if ep[T] is None), key=_level, reverse=True)
-        bottom = sorted((T for T in verts if fp[T] is None), key=_level, reverse=True)
-        half = len(verts) // 2
-        if len(top) != half or len(bottom) != half or set(top) & set(bottom):
-            raise InvariantError(f"ladder chains malformed for shape {shape}")
-        for chain in (top, bottom):
-            for a, b in zip(chain, chain[1:]):
-                if _level(a) != _level(b) + 2:
-                    raise InvariantError(f"chain levels not in steps of 2 for {shape}")
-        for u, v in zip(top, bottom):
-            if fp[u] != v or ep[v] != u or _level(u) != _level(v) + 2:
-                raise InvariantError(f"ladder rungs malformed for shape {shape}")
-        f_map = {}
-        for chain in (top, bottom):
-            for a, b in zip(chain, chain[1:]):
-                f_map[a] = b
-        e_map = {b: a for a, b in f_map.items()}
-        return _TwoLetterString("separated", (tuple(top), tuple(bottom)), f_map, e_map)
-
-    # collapsed: one chain along the dashed path
-    starts = [T for T in verts if ep[T] is None]
-    if len(starts) != 1:
-        raise InvariantError(f"collapsed chain has {len(starts)} starts for {shape}")
-    chain = [starts[0]]
-    while fp[chain[-1]] is not None:
-        chain.append(fp[chain[-1]])
-    if len(chain) != len(verts):
-        raise InvariantError(f"dashed path does not cover the crystal of {shape}")
-    f_map = dict(zip(chain, chain[1:]))
-    e_map = {b: a for a, b in f_map.items()}
-    return _TwoLetterString("collapsed", (tuple(chain),), f_map, e_map)
+    return _TwoLetterString(*_arrange(
+        verts, _level,
+        lambda T: primed_raise_tableau(T, 1, 2),
+        lambda T: primed_lower_tableau(T, 1, 2),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -306,33 +308,16 @@ def classify_string(T: ShiftedTableau, i: int, n: int) -> StringDescriptor:
                     nxt.append(V)
         frontier = nxt
 
-    def lvl(U):
+    def level(U):
         wt = U.weight(n)
         return wt[i - 1] - wt[i]
 
-    if len(members) == 1:
-        return StringDescriptor(i, "collapsed", (tuple(members),))
-    levels = sorted(lvl(U) for U in members)
-    if len(set(levels)) < len(levels) or len(members) == 2:
-        top = sorted((U for U in members if primed_raise_tableau(U, i, n) is None),
-                     key=lvl, reverse=True)
-        bottom = sorted((U for U in members if primed_lower_tableau(U, i, n) is None),
-                        key=lvl, reverse=True)
-        if len(top) != len(bottom) or len(top) + len(bottom) != len(members):
-            raise InvariantError(f"separated {i}-string with uneven chains")
-        return StringDescriptor(i, "separated", (tuple(top), tuple(bottom)))
-    start = [U for U in members if primed_raise_tableau(U, i, n) is None]
-    if len(start) != 1:
-        raise InvariantError(f"collapsed {i}-string with {len(start)} starts")
-    chain = [start[0]]
-    while True:
-        U = primed_lower_tableau(chain[-1], i, n)
-        if U is None:
-            break
-        chain.append(U)
-    if len(chain) != len(members):
-        raise InvariantError(f"collapsed {i}-string not a single chain")
-    return StringDescriptor(i, "collapsed", (tuple(chain),))
+    kind, chains = _arrange(
+        members, level,
+        lambda U: primed_raise_tableau(U, i, n),
+        lambda U: primed_lower_tableau(U, i, n),
+    )
+    return StringDescriptor(i, kind, chains)
 
 
 class Lengths(tuple):

@@ -6,7 +6,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from shifted_crystal import cli
 from shifted_crystal.cli import main
+from shifted_crystal.core import InvariantError
 
 
 def run_cli(*argv):
@@ -94,6 +96,32 @@ def test_verify_command_exit_codes():
     assert code == 1 and "fail" in out
     code, out = run_cli("verify", "knuth", "--max-size", "3")
     assert code == 0
+
+
+def test_verify_knuth_honours_shape_and_n():
+    # bound (2,1) with n <= 1 holds 9 tableaux; the default scope checks 2 588
+    code, out = run_cli("verify", "knuth", "--max-size", "2", "--shape", "2,1", "--n", "1")
+    assert code == 0 and "on 9 tableaux" in out
+
+
+def test_zero_values_are_honoured(tmp_path):
+    f = tmp_path / "t.txt"
+    f.write_text("2,1/\n1 1 / 2\n", encoding="utf-8")
+    code, out = run_cli("evacuate", "--tableau", str(f), "--n", "0")
+    assert code == 2 and out == ""
+    code, _ = run_cli("verify", "cactus", "--shape", "2,1", "--n", "2", "--max-size", "0")
+    assert code == 2
+
+
+def test_invariant_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise InvariantError("slide left a hole")
+
+    monkeypatch.setattr(cli, "_cmd_rectify", broken)
+    f = tmp_path / "t.txt"
+    f.write_text("2,1/\n1 1 / 2\n", encoding="utf-8")
+    assert main(["rectify", "--tableau", str(f)]) == 3
+    assert capsys.readouterr().err == "internal error: slide left a hole\n"
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -1,5 +1,7 @@
 """Partitions, shapes, words, tableaux, enumeration, restriction, splicing."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from shifted_crystal import (
 )
 from shifted_crystal.core import (
     canonicalize_codes,
+    destandardize_codes,
     is_primed,
     letter_str,
     letter_value,
@@ -145,6 +148,31 @@ def test_standardize_invariant_under_representatives(codes):
         rep = list(word)
         rep[j] = letter(v, True)
         assert standardize_codes(tuple(rep)) == std
+
+
+def test_destandardize_codes_against_brute_force():
+    # every (values by number, standardization) pair realized by words of
+    # length <= 5 over [3]'; the oracle tries every prime assignment
+    for L in range(6):
+        words = list(itertools.product(range(1, 7), repeat=L))
+        value_seqs = {tuple(sorted(letter_value(x) for x in w)) for w in words}
+        stds = {standardize_codes(w) for w in words}
+        for values in value_seqs:
+            for std in stds:
+                positions = [0] * L
+                for j, m in enumerate(std):
+                    positions[m - 1] = j
+                by_position = [0] * L
+                for m, j in enumerate(positions):
+                    by_position[j] = values[m]
+                survivors = []
+                for primes in itertools.product((False, True), repeat=L):
+                    codes = tuple(letter(v, p) for v, p in zip(by_position, primes))
+                    if codes == canonicalize_codes(codes) and standardize_codes(codes) == std:
+                        survivors.append(codes)
+                assert len(survivors) <= 1, (values, std, survivors)
+                expected = survivors[0] if survivors else None
+                assert destandardize_codes(list(values), positions) == expected, (values, std)
 
 
 # ---------------------------------------------------------------------------
