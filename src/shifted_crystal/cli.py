@@ -111,11 +111,14 @@ def _cmd_verify(args):
               for flag, keyword in _VERIFY_FLAGS[args.suite].items()
               if getattr(args, flag) is not None}
     report = suite(**kwargs)
-    print(report["summary"])
-    # the "all" report carries its violations in its sub-reports only
-    violations = report.get("violations", [])
-    if violations:
-        print(json.dumps(violations[: args.max_report], indent=1))
+    if args.json:
+        print(json.dumps(report, indent=1))
+    else:
+        print(report["summary"])
+        # the "all" report carries its violations in its sub-reports only
+        violations = report.get("violations", [])
+        if violations:
+            print(json.dumps(violations[: args.max_report], indent=1))
     return 0 if report["ok"] else 1
 
 
@@ -176,7 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="size cap: word length for knuth, vertex cap for graphs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-report", type=int, default=10, dest="max_report",
-                   help="maximum violations to print")
+                   help="maximum violations to print (text output)")
+    p.add_argument("--json", action="store_true",
+                   help="print the whole report, sub-reports included, as JSON")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("lrs-count", help="shifted Littlewood-Richardson coefficient")

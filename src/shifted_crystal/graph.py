@@ -93,8 +93,8 @@ class CrystalGraph:
             raise ValueError("tableau is not a vertex of this graph")
         return self.index[T]
 
-    def neighbors(self, vid: int):
-        for color in self.colors:
+    def neighbors(self, vid: int, colors=None):
+        for color in self.colors if colors is None else colors:
             for primed in (False, True):
                 dst = self.out.get((vid, color, primed))
                 if dst is not None:
@@ -105,6 +105,10 @@ class CrystalGraph:
 
     @functools.cached_property
     def components(self):
+        return self.components_in(self.colors)
+
+    def components_in(self, colors):
+        """Components of the subgraph that keeps only the edges of these colors."""
         seen = [False] * len(self.vertices)
         comps = []
         for start in range(len(self.vertices)):
@@ -115,15 +119,15 @@ class CrystalGraph:
             while stack:
                 v = stack.pop()
                 ids.append(v)
-                for u in self.neighbors(v):
+                for u in self.neighbors(v, colors):
                     if not seen[u]:
                         seen[u] = True
                         stack.append(u)
             ids.sort()
             highest = [v for v in ids if not any(
-                (v, c, p) in self.into for c in self.colors for p in (False, True))]
+                (v, c, p) in self.into for c in colors for p in (False, True))]
             lowest = [v for v in ids if not any(
-                (v, c, p) in self.out for c in self.colors for p in (False, True))]
+                (v, c, p) in self.out for c in colors for p in (False, True))]
             comps.append(Component(ids, highest, lowest))
         return tuple(comps)
 
@@ -219,30 +223,79 @@ def cactus_act(g: CrystalGraph, gen, T):
     return g.vertex_id(out)
 
 
-def _generator_tables(g: CrystalGraph):
-    """Each generator as a vertex-id permutation array."""
-    tables = {}
-    for gen in cactus_generators(g.n):
-        p, q = gen
-        tables[gen] = [
-            g.vertex_id(eta_interval(T, p, q, g.n)) for T in g.vertices
-        ]
-    return tables
+def _word_of(g: CrystalGraph, vid: int) -> str:
+    return str(g.vertices[vid].reading_word(g.n))
+
+
+def _walk_tables(g: CrystalGraph):
+    """Each generator as a vertex-id array, carried along the graph's edges.
+
+    On every [p,q]-interval component eta_{p,q} sends the highest element
+    to the lowest one, which is checked against jeu de taquin (one
+    eta_interval call per component), and eta(F_i x) = E_{p+q-1-i} eta(x)
+    carries it along solid and dashed edges alike.  Returns (tables,
+    anchors, violations); an entry the walk could not fix stays None.
+    """
+    tables, anchors, violations = {}, 0, []
+
+    def fail(kind, p, q, vid, **details):
+        violations.append({"kind": kind, "params": {"p": p, "q": q}, **details,
+                           "witness": vid, "witness_word": _word_of(g, vid)})
+
+    for p, q in cactus_generators(g.n):
+        # the [p,q]-interval subgraph read from g's own edge maps;
+        # interval_subgraph would copy them once per generator
+        colors = range(p, q)
+        t = [None] * len(g.vertices)
+        for comp in g.components_in(colors):
+            if len(comp.highest_ids) != 1 or len(comp.lowest_ids) != 1:
+                fail("extremal_count", p, q, comp.vertex_ids[0],
+                     highest=len(comp.highest_ids), lowest=len(comp.lowest_ids))
+                continue
+            high, low = comp.highest, comp.lowest
+            anchors += 1
+            if eta_interval(g.vertices[high], p, q, g.n) != g.vertices[low]:
+                fail("anchor", p, q, high)
+            t[high] = low
+            stack = [high]
+            while stack:
+                v = stack.pop()
+                for color in colors:
+                    for primed in (False, True):
+                        u = g.out.get((v, color, primed))
+                        if u is None:
+                            continue
+                        w = g.into.get((t[v], p + q - 1 - color, primed))
+                        if w is None:
+                            fail("missing_edge", p, q, v, color=color, primed=primed)
+                        elif t[u] is None:
+                            t[u] = w
+                            stack.append(u)
+                        elif t[u] != w:
+                            fail("conflict", p, q, u)
+            for vid in comp.vertex_ids:
+                if t[vid] is None:
+                    fail("unreached", p, q, vid)
+        tables[(p, q)] = t
+    return tables, anchors, violations
 
 
 def verify_cactus(g: CrystalGraph) -> dict:
     """Pointwise check of the three cactus relations on a crystal graph.
 
-    Returns a machine-readable report: every violation carries the relation
-    number, its parameters, and a witness vertex id.
-    """
-    tables = _generator_tables(g)
-    gens = cactus_generators(g.n)
-    violations = []
-    checked = {"involution": 0, "disjoint": 0, "nested": 0}
+    The generator tables come from a graph walk: on each interval component
+    eta_{p,q} maps the highest element to the lowest, anchored there on the
+    jeu de taquin eta_interval, and is carried along the edges from it.  A
+    failure of the walk is a violation with a "kind"; relations are checked
+    on the generators whose tables the walk completed.
 
-    def word_of(vid):
-        return str(g.vertices[vid].reading_word(g.n))
+    Returns a machine-readable report: every violation carries the relation
+    number (or walk kind), its parameters, and a witness vertex id;
+    "anchors" counts the jeu de taquin anchor checks.
+    """
+    tables, anchors, violations = _walk_tables(g)
+    gens = [gen for gen in cactus_generators(g.n) if None not in tables[gen]]
+    checked = {"involution": 0, "disjoint": 0, "nested": 0}
 
     for gen in gens:
         t = tables[gen]
@@ -251,7 +304,7 @@ def verify_cactus(g: CrystalGraph) -> dict:
             if t[t[vid]] != vid:
                 violations.append({
                     "relation": 1, "params": {"p": gen[0], "q": gen[1]},
-                    "witness": vid, "witness_word": word_of(vid),
+                    "witness": vid, "witness_word": _word_of(g, vid),
                 })
     for a in gens:
         for b in gens:
@@ -266,13 +319,13 @@ def verify_cactus(g: CrystalGraph) -> dict:
                     violations.append({
                         "relation": 2,
                         "params": {"p": a[0], "q": a[1], "k": b[0], "l": b[1]},
-                        "witness": vid, "witness_word": word_of(vid),
+                        "witness": vid, "witness_word": _word_of(g, vid),
                     })
     for p, q in gens:
         for k, l in gens:
             if (k, l) == (p, q):
                 continue
-            if not (p <= k and l <= q):
+            if not (p <= k and l <= q) or (p + q - l, p + q - k) not in gens:
                 continue
             inner = tables[(k, l)]
             outer = tables[(p, q)]
@@ -283,12 +336,13 @@ def verify_cactus(g: CrystalGraph) -> dict:
                     violations.append({
                         "relation": 3,
                         "params": {"p": p, "q": q, "k": k, "l": l},
-                        "witness": vid, "witness_word": word_of(vid),
+                        "witness": vid, "witness_word": _word_of(g, vid),
                     })
     return {
         "graph": {"shape": str(g.shape), "n": g.n,
                   "vertices": len(g.vertices), "edges": len(g.edges)},
         "checked": checked,
+        "anchors": anchors,
         "violations": violations,
         "ok": not violations,
     }

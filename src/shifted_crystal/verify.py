@@ -50,7 +50,10 @@ def run_cactus(shape="2,1", n=4, max_vertices=None) -> dict:
 
 
 def run_braid(shape="5,3,1", n=3, max_vertices=None) -> dict:
-    """Search for braid relation failures sigma_i sigma_j sigma_i != ..."""
+    """Search for braid relation failures sigma_i sigma_j sigma_i != ...
+
+    "checked" counts the (vertex, (i, i+1)) pairs examined.
+    """
     g = build_graph(SkewShape.parse(str(shape)), n, max_vertices)
     violations = []
     for vid, T in enumerate(g.vertices):
@@ -70,6 +73,7 @@ def run_braid(shape="5,3,1", n=3, max_vertices=None) -> dict:
     return {
         "suite": "braid",
         "graph": {"shape": str(shape), "n": n, "vertices": len(g.vertices)},
+        "checked": len(g.vertices) * max(n - 2, 0),
         "violations": violations,
         "ok": ok,
         "summary": (

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from shifted_crystal import cli
+from shifted_crystal import cli, verify
 from shifted_crystal.cli import main
 from shifted_crystal.core import InvariantError
 
@@ -96,6 +96,28 @@ def test_verify_command_exit_codes():
     assert code == 1 and "fail" in out
     code, out = run_cli("verify", "knuth", "--max-size", "3")
     assert code == 0
+
+
+def test_verify_json_prints_the_whole_report(monkeypatch):
+    code, out = run_cli("verify", "cactus", "--shape", "2,1", "--n", "4", "--json")
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] and rep["suite"] == "cactus"
+    assert rep["checked"] == {"involution": 96, "disjoint": 16, "nested": 144}
+    assert rep["graph"]["vertices"] == 16 and rep["violations"] == []
+    code, out = run_cli("verify", "braid", "--shape", "5,3,1", "--n", "3", "--json")
+    rep = json.loads(out)
+    assert code == 1 and rep["checked"] == rep["graph"]["vertices"] and rep["violations"]
+    # knuth at a small scope keeps this fast; criterion 9 runs the full one
+    real_knuth = verify.run_knuth
+    monkeypatch.setattr(verify, "run_knuth", lambda seed: real_knuth(
+        3, bound="3,1", n_max=2, orders=5, seed=seed))
+    code, out = run_cli("verify", "all", "--json")
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] and rep["suite"] == "all"
+    assert [r["suite"] for r in rep["reports"]] == [
+        "cactus", "cactus", "cactus", "braid-witness", "knuth", "symmetry", "structure"]
+    assert all(r["ok"] for r in rep["reports"])
+    assert rep["reports"][0]["checked"]["involution"] == 96
 
 
 def test_verify_knuth_honours_shape_and_n():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from shifted_crystal import (
+    CrystalGraph,
     SkewShape,
     StrictPartition,
     build_graph,
@@ -12,6 +13,7 @@ from shifted_crystal import (
     cactus_generators,
     component_isomorphic_to_straight,
     eta,
+    eta_interval,
     export_dot,
     export_json,
     graph_from_json,
@@ -23,7 +25,19 @@ from shifted_crystal import (
     verify_cactus,
     yamanouchi,
 )
+from shifted_crystal import graph as graph_module
+from shifted_crystal.graph import _walk_tables
 from shifted_crystal.operators import classify_string
+
+DESK_GRAPHS = [("2,1", 4), ("3,1", 3), ("3,2", 3)]
+
+
+def _jdt_tables(g):
+    """The definitional oracle: eta_{p,q} by jeu de taquin at every vertex."""
+    return {
+        (p, q): [g.vertex_id(eta_interval(T, p, q, g.n)) for T in g.vertices]
+        for p, q in cactus_generators(g.n)
+    }
 
 
 def test_build_graph_golden_counts(graph_cache):
@@ -127,6 +141,47 @@ def test_verify_cactus_reports(graph_cache):
     assert rep["ok"] and rep["violations"] == []
     assert rep["checked"]["involution"] > 0
     assert rep["checked"]["nested"] > 0
+
+
+def test_walk_tables_match_jdt_oracle(graph_cache):
+    graphs = [graph_cache(shape, n) for shape, n in DESK_GRAPHS]
+    bound = StrictPartition.parse("4,3,2,1")
+    graphs += [build_graph(SkewShape(lam, mu), 3)
+               for lam in strict_partitions_inside(bound)
+               for mu in strict_partitions_inside(lam)]
+    graphs.append(graph_cache("5,3,1", 4))
+    for g in graphs:
+        tables, anchors, violations = _walk_tables(g)
+        assert violations == [], (g, violations[:3])
+        assert tables == _jdt_tables(g), g
+        assert anchors == sum(len(interval_subgraph(g, p, q).components)
+                              for p, q in cactus_generators(g.n))
+
+
+def test_verify_cactus_reports_a_dropped_edge(graph_cache):
+    # each single missing edge breaks the walk somewhere; none may raise
+    g = graph_cache("2,1", 4)
+    for k in range(len(g.edges)):
+        broken = CrystalGraph(g.shape, g.n, g.vertices, g.edges[:k] + g.edges[k + 1:])
+        rep = verify_cactus(broken)
+        assert rep["ok"] is False and rep["violations"], g.edges[k]
+
+
+def test_verify_cactus_reports_a_wrong_anchor(graph_cache, monkeypatch):
+    g = graph_cache("2,1", 4)
+    comp = next(c for c in interval_subgraph(g, 1, 3).components if len(c) > 1)
+    high = g.vertices[comp.highest]
+
+    def wrong_at_high(T, p, q, n):
+        return T if (T, p, q) == (high, 1, 3) else eta_interval(T, p, q, n)
+
+    monkeypatch.setattr(graph_module, "eta_interval", wrong_at_high)
+    rep = verify_cactus(g)
+    assert not rep["ok"]
+    assert [v for v in rep["violations"] if v.get("kind") == "anchor"] == [{
+        "kind": "anchor", "params": {"p": 1, "q": 3},
+        "witness": comp.highest, "witness_word": str(high.reading_word(4)),
+    }]
 
 
 def test_rooted_isomorphism_full_scope(graph_cache):
