@@ -15,6 +15,9 @@ each of its cells to its index in reading order, so the letter in a cell is
 one dictionary lookup away.  Jeu de taquin and the primed operators both
 rebuild a word from its standardization and letter values, and share
 destandardize_codes for it.
+
+Operators on the letters [p, q]' act through ShiftedTableau.on_interval,
+which cuts them out over [1, q - p + 1]' and writes the answer back in place.
 """
 
 import functools
@@ -592,6 +595,36 @@ class ShiftedTableau:
         codes = tuple(x + 2 * shift for x in self.word_codes)
         if any(x < 1 for x in codes):
             raise ValueError("relabel would produce non-positive values")
+        return ShiftedTableau(self.shape, codes)
+
+    def interval_piece(self, p: int, q: int, n: int) -> "ShiftedTableau":
+        """The letters of value in [p, q], shifted down to start at 1.
+
+        Raises ValueError when the tableau holds a letter above n.
+        """
+        if self.max_value() > n:
+            raise ValueError(f"tableau uses values above n={n}")
+        return self.restrict(p, q).relabel(1 - p)
+
+    def on_interval(self, p: int, q: int, n: int, act):
+        """Apply act to interval_piece(p, q, n) and write its answer back.
+
+        act returns a tableau of the piece's shape, or None (passed on).
+        The piece keeps its letters' reading order, so the answer's letters,
+        shifted back up, replace them in place; the rest stay put.
+        """
+        piece = self.interval_piece(p, q, n)
+        out = act(piece)
+        if out is None:
+            return None
+        if out.shape != piece.shape:
+            raise InvariantError(
+                f"interval action turned shape {piece.shape} into {out.shape}")
+        codes = list(self.word_codes)
+        lo, hi, shift = 2 * p - 1, 2 * q, 2 * (p - 1)
+        slots = (k for k, x in enumerate(codes) if lo <= x <= hi)
+        for k, x in zip(slots, out.word_codes):
+            codes[k] = x + shift
         return ShiftedTableau(self.shape, codes)
 
     # -- dunder --------------------------------------------------------------

@@ -13,7 +13,6 @@ from .core import (
     letter,
     letter_value,
     is_primed,
-    splice,
 )
 from .jdt import rectify, unrectify
 
@@ -112,14 +111,10 @@ def eta(T: ShiftedTableau, n: int) -> ShiftedTableau:
 def eta_interval(T: ShiftedTableau, p: int, q: int, n: int) -> ShiftedTableau:
     """Restriction of eta to the letters [p, q]'.
 
-    Letters outside the interval stay put; the middle piece is shifted down
-    to the alphabet [1, q - p + 1], reversed there, and shifted back.
+    Letters outside the interval stay put; the interval's letters are
+    shifted down to the alphabet [1, q - p + 1], reversed there, and
+    written back (ShiftedTableau.on_interval).
     """
     if not 1 <= p < q <= n:
         raise ValueError(f"need 1 <= p < q <= n, got ({p}, {q}) with n={n}")
-    low = T.restrict(1, p - 1)
-    mid = T.restrict(p, q)
-    high = T.restrict(q + 1, n)
-    if mid.size:
-        mid = reversal(mid.relabel(-(p - 1)), q - p + 1).relabel(p - 1)
-    return splice([low, mid, high], shape=T.shape)
+    return T.on_interval(p, q, n, lambda piece: reversal(piece, q - p + 1))

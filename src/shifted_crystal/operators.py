@@ -8,9 +8,12 @@ blocks; the primes of each block are then re-derived as the unique split
 giving a canonical word, and the operator is undefined when no split exists.
 Note a prime elsewhere in the word may flip in the process.
 
-The unprimed operators act through the two-letter subcrystal: restrict to
-the values {i, i+1}, rectify, walk one solid edge of the straight two-letter
-crystal, undo the rectification and splice back.
+Every other colour-i operation is coplactic, so it is a fact about the
+straight two-letter string that T's {i, i+1} letters rectify into.  F_i,
+E_i and sigma_i are each one interval action (ShiftedTableau.on_interval):
+shift the {i, i+1} letters down to {1, 2}, rectify, look the result up in
+its string, undo the rectification and write the letters back.  The length
+functions are read from the same string without the write-back.
 
 The solid edges of a straight two-letter crystal are reconstructed from its
 dashed (primed) edges.  Such a crystal is a single string in two possible
@@ -30,7 +33,6 @@ from .core import (
     Word,
     destandardize_codes,
     letter_value,
-    splice,
     standardize_codes,
     enumerate_tableaux,
 )
@@ -56,6 +58,11 @@ __all__ = [
 ]
 
 _CACHE_SIZE = 1 << 18
+
+
+def _check_color(i, n):
+    if not 1 <= i < n:
+        raise ValueError(f"color must satisfy 1 <= i <= n-1, got {i} (n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +96,13 @@ def _revalue_word(w: Word, src: int, dst: int):
 
 def primed_raise(w: Word, i: int):
     """E'_i: same standardization, weight increased by alpha_i, or None."""
-    if not 1 <= i < w.n:
-        raise ValueError(f"color must satisfy 1 <= i <= n-1, got {i} (n={w.n})")
+    _check_color(i, w.n)
     return _revalue_word(w, i + 1, i)
 
 
 def primed_lower(w: Word, i: int):
     """F'_i: same standardization, weight decreased by alpha_i, or None."""
-    if not 1 <= i < w.n:
-        raise ValueError(f"color must satisfy 1 <= i <= n-1, got {i} (n={w.n})")
+    _check_color(i, w.n)
     return _revalue_word(w, i, i + 1)
 
 
@@ -180,13 +185,34 @@ def _arrange(members, level, raise_op, lower_op):
 # The straight two-letter crystal
 
 class _TwoLetterString:
-    __slots__ = ("kind", "chains", "f_map", "e_map")
+    """One straight two-letter string and, per vertex, every colour-1 fact.
+
+    f_map and e_map are the solid edges, which run along each chain.
+    sigma_map reflects the string through both axes: a chain c of L
+    vertices sends c[j] to c[L-1-j], a ladder (top, bottom) of m-vertex
+    chains swaps top[j] and bottom[m-1-j].  lengths maps each vertex to
+    its Lengths; in a ladder the rung is the one dashed step.
+    """
+
+    __slots__ = ("kind", "chains", "f_map", "e_map", "sigma_map", "lengths")
 
     def __init__(self, kind, chains):
         self.kind = kind
         self.chains = chains
         self.f_map = {a: b for chain in chains for a, b in zip(chain, chain[1:])}
         self.e_map = {b: a for a, b in self.f_map.items()}
+        self.sigma_map = dict(zip(
+            (U for chain in chains for U in chain),
+            (U for chain in reversed(chains) for U in reversed(chain)),
+        ))
+        self.lengths = {}
+        for k, chain in enumerate(chains):
+            last = len(chain) - 1
+            for j, U in enumerate(chain):
+                if kind == "collapsed":
+                    self.lengths[U] = Lengths(j, j, last - j, last - j, j, last - j)
+                else:  # k = 0 on the top chain, 1 on the bottom one
+                    self.lengths[U] = Lengths(j, k, last - j, 1 - k, j + k, last - j + 1 - k)
 
 
 def _level(T):
@@ -196,10 +222,10 @@ def _level(T):
 
 @functools.lru_cache(maxsize=None)
 def _two_letter_string(outer_parts) -> _TwoLetterString:
-    """Solid-edge structure of the straight two-letter crystal on this shape.
+    """The straight two-letter crystal on this shape, as one string.
 
-    Solid edges run along each chain of the arrangement: the chains of a
-    ladder, or the single chain that carries both edge kinds.
+    Its arrangement comes from the dashed edges (_arrange); the solid
+    edges, the reflection and the lengths are then read off the chains.
     """
     shape = SkewShape(outer_parts)
     verts = enumerate_tableaux(shape, 2)
@@ -212,46 +238,38 @@ def _two_letter_string(outer_parts) -> _TwoLetterString:
     ))
 
 
+def _on_string(T, i, n, table):
+    """T with its {i, i+1} letters moved by one per-vertex map of their
+    straight two-letter string, or None where the map has no entry."""
+    def act(piece):
+        R, record = rectify(piece)
+        target = getattr(_two_letter_string(R.shape.outer.parts), table).get(R)
+        return None if target is None else unrectify(target, record)
+    return T.on_interval(i, i + 1, n, act)
+
+
 # ---------------------------------------------------------------------------
 # Unprimed operators
 
-def _two_letter_step(T: ShiftedTableau, i: int, n: int, lowering: bool):
-    mid = T.restrict(i, i + 1)
-    if mid.size == 0:
-        return None
-    mid = mid.relabel(-(i - 1))
-    R, record = rectify(mid)
-    string = _two_letter_string(R.shape.outer.parts)
-    target = string.f_map.get(R) if lowering else string.e_map.get(R)
-    if target is None:
-        return None
-    moved = unrectify(target, record).relabel(i - 1)
-    return splice(
-        [T.restrict(1, i - 1), moved, T.restrict(i + 2, n)], shape=T.shape
-    )
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _unprimed_lower(T, i, n):
-    return _two_letter_step(T, i, n, lowering=True)
+    return _on_string(T, i, n, "f_map")
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _unprimed_raise(T, i, n):
-    return _two_letter_step(T, i, n, lowering=False)
+    return _on_string(T, i, n, "e_map")
 
 
 def unprimed_lower(T: ShiftedTableau, i: int, n: int):
     """F_i: one solid edge down, or None."""
-    if not 1 <= i < n:
-        raise ValueError(f"color must satisfy 1 <= i <= n-1, got {i} (n={n})")
+    _check_color(i, n)
     return _unprimed_lower(T, i, n)
 
 
 def unprimed_raise(T: ShiftedTableau, i: int, n: int):
     """E_i: one solid edge up, or None."""
-    if not 1 <= i < n:
-        raise ValueError(f"color must satisfy 1 <= i <= n-1, got {i} (n={n})")
+    _check_color(i, n)
     return _unprimed_raise(T, i, n)
 
 
@@ -282,16 +300,6 @@ class StringDescriptor:
 
     def __repr__(self):
         return f"StringDescriptor(color={self.color}, kind={self.kind}, size={self.size})"
-
-
-def _iterate(op, T, i, n):
-    count = 0
-    while True:
-        U = op(T, i, n)
-        if U is None:
-            return count, T
-        T = U
-        count += 1
 
 
 def classify_string(T: ShiftedTableau, i: int, n: int) -> StringDescriptor:
@@ -336,83 +344,36 @@ class Lengths(tuple):
     phi = property(lambda self: self[5])
 
 
-def _string_kind_local(T, i, n):
-    """Arrangement of T's i-string from T alone.
-
-    In a ladder exactly one of E', F' is defined and the solid neighbour
-    differs from the dashed one; in a single chain they coincide.
-    """
-    fp = primed_lower_tableau(T, i, n)
-    ep = primed_raise_tableau(T, i, n)
-    if fp is not None and ep is not None:
-        return "collapsed"
-    if fp is None and ep is None:
-        if unprimed_lower(T, i, n) is not None or unprimed_raise(T, i, n) is not None:
-            raise InvariantError("solid edges without dashed edges at a string end")
-        return "collapsed"
-    if fp is not None:
-        return "collapsed" if unprimed_lower(T, i, n) == fp else "separated"
-    return "collapsed" if unprimed_raise(T, i, n) == ep else "separated"
-
-
 def lengths(T: ShiftedTableau, i: int, n: int) -> Lengths:
-    """Partial and total length functions of T for color i."""
-    eps_hat, _ = _iterate(unprimed_raise, T, i, n)
-    phi_hat, _ = _iterate(unprimed_lower, T, i, n)
-    eps_p, _ = _iterate(primed_raise_tableau, T, i, n)
-    phi_p, _ = _iterate(primed_lower_tableau, T, i, n)
-    if _string_kind_local(T, i, n) == "collapsed":
-        if eps_hat != eps_p or phi_hat != phi_p:
-            raise InvariantError("collapsed string with unequal partial lengths")
-        eps, phi = eps_hat, phi_hat
-    else:
-        eps, phi = eps_hat + eps_p, phi_hat + phi_p
-    return Lengths(eps_hat, eps_p, phi_hat, phi_p, eps, phi)
+    """Partial and total length functions of T for color i.
+
+    Read at the place of T's rectified {i, i+1} letters in their straight
+    two-letter string: along a chain, eps = eps_hat = eps_prime counts the
+    steps above; in a ladder the hatted lengths count solid steps within
+    the chain, the primed ones the single rung, and the totals add them.
+    """
+    _check_color(i, n)
+    R, _ = rectify(T.interval_piece(i, i + 1, n))
+    return _two_letter_string(R.shape.outer.parts).lengths[R]
 
 
 # ---------------------------------------------------------------------------
 # Shifted reflection operators
 
-def _power(op, T, i, n, m):
-    for _ in range(m):
-        T = op(T, i, n)
-        if T is None:
-            raise InvariantError(f"operator power ran off the {i}-string")
-    return T
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _sigma(T, i, n):
-    fp = primed_lower_tableau(T, i, n)
-    ep = primed_raise_tableau(T, i, n)
-    f = unprimed_lower(T, i, n)
-    e = unprimed_raise(T, i, n)
-    if fp is None and ep is None and f is None and e is None:
-        return T
-    wt = T.weight(n)
-    k = wt[i - 1] - wt[i]
-    if k > 0:
-        if fp is not None:
-            return primed_lower_tableau(_power(unprimed_lower, T, i, n, k - 1), i, n)
-        return primed_raise_tableau(_power(unprimed_lower, T, i, n, k + 1), i, n)
-    if k == 0:
-        if fp is not None:
-            return unprimed_raise(fp, i, n)
-        return primed_raise_tableau(f, i, n)
-    if fp is not None:
-        return _power(unprimed_raise, fp, i, n, -k + 1)
-    return _power(unprimed_raise, ep, i, n, -k - 1)
+    return _on_string(T, i, n, "sigma_map")
 
 
 def sigma(T: ShiftedTableau, i: int, n: int) -> ShiftedTableau:
     """The reflection operator: the i-string flipped through both its axes.
 
-    Fixes vertices isolated in their i-string; otherwise walks the string
-    by a case table on k = wt_i - wt_{i+1} and whether F'_i is defined.
-    Coincides with eta restricted to the letters {i, i+1}'.
+    Looks up the reflection of T's {i, i+1} letters in their straight
+    two-letter string (see _TwoLetterString), so it fixes vertices isolated
+    in their i-string.  Coincides with eta restricted to the letters
+    {i, i+1}'.
     """
-    if not 1 <= i < n:
-        raise ValueError(f"color must satisfy 1 <= i <= n-1, got {i} (n={n})")
+    _check_color(i, n)
     out = _sigma(T, i, n)
     if out is None:
         raise InvariantError(f"sigma_{i} fell off the crystal at {T}")

@@ -276,7 +276,8 @@ def run_all(seed=0) -> dict:
     """The full battery at acceptance scope.
 
     The braid step passes when the braid relations do fail on B((5,3,1),3)
-    with the documented witness; everything else passes when clean.
+    with the documented witness, and keeps that search's graph, checked
+    count and violations found; everything else passes when clean.
     """
     reports = []
     for shape, n in (("2,1", 4), ("3,1", 3), ("3,2", 3)):
@@ -295,6 +296,9 @@ def run_all(seed=0) -> dict:
     )
     reports.append({
         "suite": "braid-witness",
+        "graph": braid["graph"],
+        "checked": braid["checked"],
+        "violations_found": len(braid["violations"]),
         "ok": (not braid["ok"]) and braid_hit,
         "summary": "braid failure reproduced with the documented witness"
         if braid_hit else "braid witness NOT reproduced",

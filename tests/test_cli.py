@@ -118,6 +118,10 @@ def test_verify_json_prints_the_whole_report(monkeypatch):
         "cactus", "cactus", "cactus", "braid-witness", "knuth", "symmetry", "structure"]
     assert all(r["ok"] for r in rep["reports"])
     assert rep["reports"][0]["checked"]["involution"] == 96
+    braid = rep["reports"][3]
+    assert braid["suite"] == "braid-witness"
+    assert braid["graph"] == {"shape": "5,3,1", "n": 3, "vertices": 64}
+    assert braid["checked"] == 64 and braid["violations_found"] == 46
 
 
 def test_verify_knuth_honours_shape_and_n():

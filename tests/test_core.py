@@ -18,6 +18,7 @@ from shifted_crystal import (
     strict_partitions_inside,
 )
 from shifted_crystal.core import (
+    InvariantError,
     canonicalize_codes,
     destandardize_codes,
     is_primed,
@@ -282,6 +283,22 @@ def test_splice_interval_compositions():
                 assert splice(parts, shape=T.shape) == T
             parts = [T.restrict(k, k) for k in range(1, n + 1)]
             assert splice(parts, shape=T.shape) == T
+
+
+def test_on_interval_writes_back_in_place():
+    for shape_text, n in [("3,2/1", 3), ("4,2", 3)]:
+        for T in enumerate_tableaux(SkewShape.parse(shape_text), n):
+            for p, q in [(1, 2), (2, 3), (1, 3), (3, 3)]:
+                piece = T.interval_piece(p, q, n)
+                assert piece == T.restrict(p, q).relabel(1 - p)
+                assert T.on_interval(p, q, n, lambda P: P) == T
+                assert T.on_interval(p, q, n, lambda P: None) is None
+    T = ShiftedTableau.parse("3,1", "1 2 3' / 3")
+    # the {2, 3} piece "1 2' / 2" becomes "1 2 / 2", so 3' turns into 3
+    U = T.on_interval(2, 3, 3, lambda P: ShiftedTableau(P.shape, (4, 2, 4)))
+    assert str(U) == "1 2 3 / 3"
+    with pytest.raises(InvariantError):
+        T.on_interval(1, 2, 3, lambda P: EMPTY_TABLEAU)
 
 
 def test_value_boundary_chain_is_nested():

@@ -1,5 +1,6 @@
 """Primed and unprimed operators, strings, lengths, and reflections."""
 
+import functools
 import itertools
 
 import pytest
@@ -24,9 +25,11 @@ from shifted_crystal import (
     rectify,
     reversal,
     sigma,
+    splice,
     strict_partitions_inside,
     unprimed_lower,
     unprimed_raise,
+    unrectify,
     yamanouchi,
 )
 from shifted_crystal.core import canonicalize_codes
@@ -239,8 +242,8 @@ def test_sigma_weight_law_and_strings():
 
 
 def test_sigma_matches_interval_eta():
-    for nu in ((2, 1), (3, 1), (3, 2)):
-        for T in enumerate_tableaux(SkewShape(StrictPartition(nu)), 3):
+    for shape_text in ("2,1", "3,1", "3,2", "3,2/1", "4,3,1/3,1"):
+        for T in enumerate_tableaux(SkewShape.parse(shape_text), 3):
             for i in (1, 2):
                 assert sigma(T, i, 3) == eta_interval(T, i, i + 1, 3)
 
@@ -280,3 +283,129 @@ def test_unique_highest_is_yamanouchi_on_straight():
         n = 3
         highs = [T for T in enumerate_tableaux(SkewShape(nu), n) if is_highest(T, n)]
         assert highs == [yamanouchi(nu)]
+
+
+def test_letters_above_n_are_an_error():
+    T = ShiftedTableau.parse("3,1", "1 1 2 / 3")
+    for op in (unprimed_lower, unprimed_raise, sigma, lengths):
+        with pytest.raises(ValueError):
+            op(T, 1, 2)
+    with pytest.raises(ValueError):
+        eta_interval(T, 1, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the definitional paths, kept as oracles for the string lookups
+
+@functools.cache
+def _step_oracle(T, i, n, lowering):
+    """F_i or E_i: rectify the {i, i+1} piece, walk one solid edge, undo
+    the rectification and splice the three value bands back together."""
+    mid = T.restrict(i, i + 1)
+    if mid.size == 0:
+        return None
+    R, record = rectify(mid.relabel(-(i - 1)))
+    string = _two_letter_string(R.shape.outer.parts)
+    target = (string.f_map if lowering else string.e_map).get(R)
+    if target is None:
+        return None
+    moved = unrectify(target, record).relabel(i - 1)
+    return splice([T.restrict(1, i - 1), moved, T.restrict(i + 2, n)], shape=T.shape)
+
+
+def _f_oracle(T, i, n):
+    return _step_oracle(T, i, n, True)
+
+
+def _e_oracle(T, i, n):
+    return _step_oracle(T, i, n, False)
+
+
+def _power(op, T, i, n, m):
+    for _ in range(m):
+        T = op(T, i, n)
+        assert T is not None, "operator power ran off the string"
+    return T
+
+
+def _sigma_oracle(T, i, n):
+    """sigma_i by its case table on k = wt_i - wt_{i+1} and on F'_i."""
+    fp = primed_lower_tableau(T, i, n)
+    ep = primed_raise_tableau(T, i, n)
+    f, e = _f_oracle(T, i, n), _e_oracle(T, i, n)
+    if fp is None and ep is None and f is None and e is None:
+        return T
+    wt = T.weight(n)
+    k = wt[i - 1] - wt[i]
+    if k > 0:
+        if fp is not None:
+            return primed_lower_tableau(_power(_f_oracle, T, i, n, k - 1), i, n)
+        return primed_raise_tableau(_power(_f_oracle, T, i, n, k + 1), i, n)
+    if k == 0:
+        return _e_oracle(fp, i, n) if fp is not None else primed_raise_tableau(f, i, n)
+    if fp is not None:
+        return _power(_e_oracle, fp, i, n, -k + 1)
+    return _power(_e_oracle, ep, i, n, -k - 1)
+
+
+def _run(op, T, i, n):
+    count = 0
+    while (T := op(T, i, n)) is not None:
+        count += 1
+    return count
+
+
+def _lengths_oracle(T, i, n):
+    """Iterate each operator to the string's end, and tell a chain from a
+    ladder at T alone: in a chain the solid and dashed neighbours agree."""
+    eps_hat, phi_hat = _run(_e_oracle, T, i, n), _run(_f_oracle, T, i, n)
+    eps_p = _run(primed_raise_tableau, T, i, n)
+    phi_p = _run(primed_lower_tableau, T, i, n)
+    fp, ep = primed_lower_tableau(T, i, n), primed_raise_tableau(T, i, n)
+    if fp is not None and ep is not None:
+        collapsed = True
+    elif fp is not None:
+        collapsed = _f_oracle(T, i, n) == fp
+    elif ep is not None:
+        collapsed = _e_oracle(T, i, n) == ep
+    else:
+        assert _f_oracle(T, i, n) is None and _e_oracle(T, i, n) is None
+        collapsed = True
+    if collapsed:
+        assert (eps_hat, phi_hat) == (eps_p, phi_p)
+        return (eps_hat, eps_p, phi_hat, phi_p, eps_hat, phi_hat)
+    return (eps_hat, eps_p, phi_hat, phi_p, eps_hat + eps_p, phi_hat + phi_p)
+
+
+def _eta_oracle(T, p, q, n):
+    mid = T.restrict(p, q)
+    if mid.size:
+        mid = reversal(mid.relabel(-(p - 1)), q - p + 1).relabel(p - 1)
+    return splice([T.restrict(1, p - 1), mid, T.restrict(q + 1, n)], shape=T.shape)
+
+
+def _oracle_cases():
+    """Every tableau of the three desk graphs, of B((5,3,1),3), and of
+    every skew shape inside (4,3,2,1) at n = 3, with its n."""
+    cases = [(SkewShape.parse(text), n) for text, n in
+             (("2,1", 4), ("3,1", 3), ("3,2", 3), ("5,3,1", 3))]
+    bound = StrictPartition.parse("4,3,2,1")
+    cases += [(SkewShape(lam, mu), 3) for lam in strict_partitions_inside(bound)
+              for mu in strict_partitions_inside(lam)]
+    return [(T, n) for shape, n in cases for T in enumerate_tableaux(shape, n)]
+
+
+def test_string_lookups_match_definitional_oracles():
+    for T, n in _oracle_cases():
+        for i in range(1, n):
+            assert unprimed_lower(T, i, n) == _f_oracle(T, i, n), (T, i)
+            assert unprimed_raise(T, i, n) == _e_oracle(T, i, n), (T, i)
+            assert sigma(T, i, n) == _sigma_oracle(T, i, n), (T, i)
+            assert tuple(lengths(T, i, n)) == _lengths_oracle(T, i, n), (T, i)
+
+
+def test_eta_interval_matches_spliced_oracle():
+    for T, n in _oracle_cases():
+        for p in range(1, n):
+            for q in range(p + 1, n + 1):
+                assert eta_interval(T, p, q, n) == _eta_oracle(T, p, q, n), (T, p, q)
