@@ -106,11 +106,13 @@ _VERIFY_FLAGS = {
 
 
 def _cmd_verify(args):
-    suite = SUITES[args.suite]
-    kwargs = {keyword: getattr(args, flag)
-              for flag, keyword in _VERIFY_FLAGS[args.suite].items()
-              if getattr(args, flag) is not None}
-    report = suite(**kwargs)
+    taken = _VERIFY_FLAGS[args.suite]
+    given = [flag for flag in ("shape", "n", "max_size", "seed")
+             if getattr(args, flag) is not None]
+    for flag in given:
+        if flag not in taken:
+            raise ValueError(f"verify {args.suite} does not take --{flag.replace('_', '-')}")
+    report = SUITES[args.suite](**{taken[flag]: getattr(args, flag) for flag in given})
     if args.json:
         print(json.dumps(report, indent=1))
     else:
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--max-size", type=int, dest="max_size",
                    help="size cap: word length for knuth, vertex cap for graphs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="corner-order seed (default 0)")
     p.add_argument("--max-report", type=int, default=10, dest="max_report",
                    help="maximum violations to print (text output)")
     p.add_argument("--json", action="store_true",

@@ -16,6 +16,10 @@ one dictionary lookup away.  Jeu de taquin and the primed operators both
 rebuild a word from its standardization and letter values, and share
 destandardize_codes for it.
 
+Shapes that the library builds itself come from shared_shape, a bounded
+cache holding one SkewShape per (outer, inner) pair of part tuples; the
+SkewShape constructor still builds a fresh one.
+
 Operators on the letters [p, q]' act through ShiftedTableau.on_interval,
 which cuts them out over [1, q - p + 1]' and writes the answer back in place.
 """
@@ -288,6 +292,17 @@ class SkewShape:
 EMPTY_SHAPE = SkewShape(EMPTY_PARTITION)
 
 
+@functools.lru_cache(maxsize=4096)
+def shared_shape(outer_parts: tuple, inner_parts: tuple) -> SkewShape:
+    """The SkewShape outer/inner, one shared object per pair of part tuples.
+
+    Slides, restrictions and reflections land on few distinct shapes, so
+    building each once saves its cell list and position map on every later
+    call.  The cache is bounded; an evicted shape is rebuilt.
+    """
+    return SkewShape(outer_parts, inner_parts)
+
+
 # ---------------------------------------------------------------------------
 # Words
 
@@ -326,23 +341,20 @@ def prime_split(positions):
     positions lists, by standardization number, the word positions of the
     block.  A split into j primed then k - j unprimed letters is valid when
     the primed positions decrease, the unprimed ones increase, and the
-    leftmost occurrence is unprimed.  Returns the unique valid j, or None
-    when no split exists (the block cannot be realized canonically).
+    leftmost occurrence is unprimed: positions[:j + 1] strictly decrease and
+    positions[j:] strictly increase.  So j is one less than the length of
+    the longest strictly decreasing prefix, and it is valid exactly when the
+    rest strictly increases.  Returns that j, or None when no split exists
+    (the block cannot be realized canonically).
     """
     k = len(positions)
-    valid = []
-    for j in range(k):
-        pre, post = positions[:j], positions[j:]
-        if any(pre[t] <= pre[t + 1] for t in range(j - 1)):
-            continue
-        if any(post[t] >= post[t + 1] for t in range(k - j - 1)):
-            continue
-        if j and post[0] > pre[-1]:
-            continue
-        valid.append(j)
-    if len(valid) > 1:
-        raise InvariantError(f"prime split not unique: {positions} -> {valid}")
-    return valid[0] if valid else None
+    j = 0
+    while j + 1 < k and positions[j] > positions[j + 1]:
+        j += 1
+    t = j
+    while t + 1 < k and positions[t] < positions[t + 1]:
+        t += 1
+    return j if t == k - 1 else None
 
 
 def destandardize_codes(values, positions):
@@ -365,7 +377,7 @@ def destandardize_codes(values, positions):
         if j is None:
             return None
         for t, p in enumerate(block):
-            codes[p] = letter(v, t < j)
+            codes[p] = 2 * v - 1 if t < j else 2 * v
         start = end
     return tuple(codes)
 
@@ -582,7 +594,7 @@ class ShiftedTableau:
             return EMPTY_TABLEAU
         outer = self.value_boundary(q)
         inner = self.value_boundary(p - 1) if p > 1 else self.shape.inner
-        shape = SkewShape(outer, inner)
+        shape = shared_shape(outer.parts, inner.parts)
         # both cell lists are in reading order, so equal lists mean equal sets
         if shape.cells_reading != tuple(cells):
             raise InvariantError("interval restriction does not match its boundary")
@@ -657,7 +669,10 @@ EMPTY_TABLEAU = ShiftedTableau(EMPTY_SHAPE, ())
 
 @functools.lru_cache(maxsize=None)
 def _enumerate_cached(outer_parts, inner_parts, n):
-    shape = SkewShape(StrictPartition(outer_parts), StrictPartition(inner_parts))
+    """Unbounded on purpose: one entry can hold 250 MB of tableaux, so a
+    bound on the entry count would not bound memory.  Bounding it belongs
+    with the vertex cap, checked before enumerating."""
+    shape = shared_shape(outer_parts, inner_parts)
     cells = shape.cells_reading
     if not cells:
         return (EMPTY_TABLEAU if shape == EMPTY_SHAPE

@@ -16,6 +16,7 @@ from .core import (
     StrictPartition,
     Word,
     enumerate_tableaux,
+    shared_shape,
 )
 from .involutions import eta_interval
 from .jdt import is_lrs, yamanouchi
@@ -172,10 +173,10 @@ def interval_subgraph(g: CrystalGraph, p: int, q: int) -> CrystalGraph:
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson counting
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _lrs_weight_counts(outer_parts, inner_parts, n):
     counts = {}
-    shape = SkewShape(StrictPartition(outer_parts), StrictPartition(inner_parts))
+    shape = shared_shape(outer_parts, inner_parts)
     for T in enumerate_tableaux(shape, n):
         if is_lrs(T):
             wt = T.weight(n)

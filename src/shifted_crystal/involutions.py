@@ -8,11 +8,11 @@ from .core import (
     EMPTY_TABLEAU,
     InvariantError,
     ShiftedTableau,
-    SkewShape,
     canonicalize_codes,
     letter,
     letter_value,
     is_primed,
+    shared_shape,
 )
 from .jdt import rectify, unrectify
 
@@ -71,7 +71,7 @@ def star(T: ShiftedTableau, n: int) -> ShiftedTableau:
     if T.max_value() > n:
         raise ValueError(f"tableau uses values above n={n}")
     m = T.shape.outer.parts[0]
-    shape = SkewShape(T.shape.inner.complement(m), T.shape.outer.complement(m))
+    shape = shared_shape(T.shape.inner.complement(m).parts, T.shape.outer.complement(m).parts)
     if shape.size != T.size:
         raise InvariantError("star reflection does not fill the complement shape")
     codes = [0] * shape.size

@@ -12,7 +12,11 @@ the prime-adjusting exceptional slides near the diagonal.
 
 While a batch of slides runs, the outer and inner shapes are plain lists of
 parts, updated in place and checked for strictness at every step; a
-SkewShape and a ShiftedTableau are built once, when the batch finishes.
+ShiftedTableau is built and checked once, when the batch finishes, on a
+shape shared through core.shared_shape (slides land on few shapes).
+Corners that come from the caller (inner_slide, outer_slide, replay,
+unrectify) are checked before each slide; the corners rectify picks itself
+come from the same inner-corner list, so they are not checked a second time.
 """
 
 import random
@@ -28,6 +32,7 @@ from .core import (
     destandardize_codes,
     letter,
     letter_value,
+    shared_shape,
     standardize_codes,
 )
 
@@ -191,7 +196,7 @@ class _SlideState:
         self.entries = dict(zip(T.shape.cells_reading, std_word))
         self.values = [0] * len(std_word)
         for num, code in zip(std_word, T.word_codes):
-            self.values[num - 1] = letter_value(code)
+            self.values[num - 1] = (code + 1) // 2
         self.outer = list(T.shape.outer.parts)
         self.inner = list(T.shape.inner.parts)
         self.steps = []
@@ -200,6 +205,10 @@ class _SlideState:
         if corner not in _inner_corners(self.inner):
             shape = SkewShape(self.outer, self.inner)
             raise ValueError(f"{corner} is not an inner corner of {shape}")
+        return self.slide_inner_unchecked(corner)
+
+    def slide_inner_unchecked(self, corner):
+        """slide_inner from a corner taken from _inner_corners(self.inner)."""
         end = _inner_slide_std(self.entries, *corner)
         _resize_row(self.inner, corner[0], -1)
         _resize_row(self.outer, end[0], -1)
@@ -218,7 +227,7 @@ class _SlideState:
 
     def finish(self) -> ShiftedTableau:
         """De-standardize into a tableau on the final shape."""
-        shape = SkewShape(self.outer, self.inner)
+        shape = shared_shape(tuple(self.outer), tuple(self.inner))
         positions = [0] * shape.size
         for k, cell in enumerate(shape.cells_reading):
             positions[self.entries[cell] - 1] = k
@@ -258,7 +267,7 @@ def rectify(T: ShiftedTableau, rng: random.Random = None):
     while state.inner:
         corners = _inner_corners(state.inner)  # in row order, hence sorted
         corner = corners[0] if rng is None else rng.choice(corners)
-        state.slide_inner(corner)
+        state.slide_inner_unchecked(corner)
     return state.finish(), SlideRecord(state.steps)
 
 
@@ -305,9 +314,9 @@ def strip_tableau(w: Word) -> ShiftedTableau:
     N = len(w)
     if N == 0:
         return EMPTY_TABLEAU
-    outer = StrictPartition(2 * (N - r) + 1 for r in range(1, N + 1))
-    inner = StrictPartition(2 * (N - r) for r in range(1, N))
-    return ShiftedTableau(SkewShape(outer, inner), w.codes)
+    outer = tuple(2 * (N - r) + 1 for r in range(1, N + 1))
+    inner = tuple(2 * (N - r) for r in range(1, N))
+    return ShiftedTableau(shared_shape(outer, inner), w.codes)
 
 
 def rectify_word(w: Word) -> Word:

@@ -29,12 +29,12 @@ import re
 from .core import (
     InvariantError,
     ShiftedTableau,
-    SkewShape,
     Word,
     destandardize_codes,
     letter_value,
     standardize_codes,
     enumerate_tableaux,
+    shared_shape,
 )
 from .jdt import rectify, unrectify
 
@@ -220,14 +220,14 @@ def _level(T):
     return wt[0] - wt[1]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _two_letter_string(outer_parts) -> _TwoLetterString:
     """The straight two-letter crystal on this shape, as one string.
 
     Its arrangement comes from the dashed edges (_arrange); the solid
     edges, the reflection and the lengths are then read off the chains.
     """
-    shape = SkewShape(outer_parts)
+    shape = shared_shape(outer_parts, ())
     verts = enumerate_tableaux(shape, 2)
     if not verts:
         raise InvariantError(f"no two-letter tableaux of shape {shape}")

@@ -139,6 +139,19 @@ def test_zero_values_are_honoured(tmp_path):
     assert code == 2
 
 
+# knuth takes all four suite flags, so it has no case here
+@pytest.mark.parametrize("suite, flag, value", [
+    ("cactus", "--seed", "3"),
+    ("braid", "--seed", "3"),
+    ("symmetry", "--n", "5"),
+    ("structure", "--max-size", "2"),
+    ("all", "--shape", "2,1"),
+])
+def test_verify_rejects_flags_a_suite_does_not_take(suite, flag, value, capsys):
+    assert main(["verify", suite, flag, value]) == 2
+    assert capsys.readouterr() == ("", f"error: verify {suite} does not take {flag}\n")
+
+
 def test_invariant_error_exits_3(tmp_path, monkeypatch, capsys):
     def broken(args):
         raise InvariantError("slide left a hole")

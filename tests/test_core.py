@@ -25,8 +25,11 @@ from shifted_crystal.core import (
     letter_str,
     letter_value,
     parse_letter,
+    prime_split,
+    shared_shape,
     standardize_codes,
 )
+from shifted_crystal.involutions import star
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +179,33 @@ def test_destandardize_codes_against_brute_force():
                 assert destandardize_codes(list(values), positions) == expected, (values, std)
 
 
+def _prime_split_oracle(positions):
+    """The definition: try every split; at most one is valid."""
+    k = len(positions)
+    valid = []
+    for j in range(k):
+        pre, post = positions[:j], positions[j:]
+        if any(pre[t] <= pre[t + 1] for t in range(j - 1)):
+            continue
+        if any(post[t] >= post[t + 1] for t in range(k - j - 1)):
+            continue
+        if j and post[0] > pre[-1]:
+            continue
+        valid.append(j)
+    assert len(valid) <= 1, (positions, valid)
+    return valid[0] if valid else None
+
+
+def test_prime_split_against_definition():
+    outcomes = set()
+    for k in range(8):
+        for positions in itertools.permutations(range(k)):
+            expected = _prime_split_oracle(positions)
+            assert prime_split(positions) == expected, positions
+            outcomes.add(expected)
+    assert None in outcomes and set(range(7)) <= outcomes
+
+
 # ---------------------------------------------------------------------------
 # tableaux
 
@@ -249,6 +279,16 @@ def test_restrict_keeps_canonical_form():
     assert str(R.reading_word()) == "3 3 3' 3"
     assert str(R.shape) == "6,4,2/6,2"
     R.check()
+
+
+def test_built_shapes_are_shared():
+    T = ShiftedTableau.parse("6,4,2/3,1", "1 1 2' / 2 3' 3 / 3 3")
+    U = ShiftedTableau.parse("6,4,2/3,1", "1 1 2 / 2 3' 3 / 3 3")
+    for make in (lambda X: X.restrict(2, 3), lambda X: star(X, 3)):
+        a, b = make(T), make(U)
+        assert a.shape == SkewShape(a.shape.outer.parts, a.shape.inner.parts)
+        assert a.shape is b.shape
+    assert shared_shape.cache_info().maxsize is not None
 
 
 def test_relabel():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from shifted_crystal import (
     ShiftedTableau,
+    SlideRecord,
     SkewShape,
     StrictPartition,
     Word,
@@ -107,6 +108,24 @@ def test_unrectify_mismatch_errors():
         unrectify(yamanouchi((1,)), rec)
     with pytest.raises(ValueError):
         unrectify(yamanouchi((2,)), rec.reversed())
+
+
+def test_replay_checks_the_corners_it_is_given():
+    T = ShiftedTableau.parse("2,1/1", "1 / 2")
+    with pytest.raises(ValueError):
+        replay(T, SlideRecord([("inner", (2, 2), (2, 2))]))
+    with pytest.raises(ValueError):
+        replay(T, SlideRecord([("outer", (3, 3), (3, 3))]))
+
+
+def test_slide_results_share_their_shapes():
+    straight, skew = {}, []
+    for T in enumerate_tableaux(SkewShape.parse("4,2/2"), 3):
+        R, rec = rectify(T)
+        assert R.shape == SkewShape(R.shape.outer.parts)
+        assert straight.setdefault(R.shape.outer.parts, R.shape) is R.shape
+        skew.append(unrectify(R, rec).shape)
+    assert len(straight) > 1 and all(sh is skew[0] for sh in skew)
 
 
 def test_record_json_shape():
