@@ -21,7 +21,11 @@ from .verify import SUITES
 
 
 def _read_tableau(path: str) -> ShiftedTableau:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) < 2:
         raise ValueError("tableau input needs a shape line and a filling line")

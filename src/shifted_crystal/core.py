@@ -20,8 +20,13 @@ Shapes that the library builds itself come from shared_shape, a bounded
 cache holding one SkewShape per (outer, inner) pair of part tuples; the
 SkewShape constructor still builds a fresh one.
 
-Operators on the letters [p, q]' act through ShiftedTableau.on_interval,
-which cuts them out over [1, q - p + 1]' and writes the answer back in place.
+Operators on the letters [p, q]' see only the interval subword: those
+letters in reading order, shifted down to [1, q - p + 1]'
+(ShiftedTableau.interval_subword).  An answer, a word of the same length,
+goes back into the same reading positions (write_subword), and
+ShiftedTableau.with_interval_subword builds the checked tableau on the
+unchanged shape.  A subword of a canonical word is canonical, since the
+first letter of each value stays first.
 """
 
 import functools
@@ -219,10 +224,12 @@ class SkewShape:
     """A shifted skew shape outer/inner with precomputed cell data.
 
     cells_reading lists the cells in reading order (rows bottom to top, left
-    to right); position maps each cell to its index in that list.
+    to right); position maps each cell to its index in that list.  west and
+    north give, per reading index, the reading index of the cell to the
+    left and of the cell above, or None where that cell is not in the shape.
     """
 
-    __slots__ = ("outer", "inner", "cells_reading", "position", "_hash")
+    __slots__ = ("outer", "inner", "cells_reading", "position", "west", "north", "_hash")
 
     def __init__(self, outer, inner=EMPTY_PARTITION):
         outer = StrictPartition(outer)
@@ -235,8 +242,11 @@ class SkewShape:
                 cells.append((r, c))
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
+        position = {cell: k for k, cell in enumerate(cells)}
         object.__setattr__(self, "cells_reading", tuple(cells))
-        object.__setattr__(self, "position", {cell: k for k, cell in enumerate(cells)})
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "west", tuple(position.get((r, c - 1)) for r, c in cells))
+        object.__setattr__(self, "north", tuple(position.get((r - 1, c)) for r, c in cells))
         object.__setattr__(self, "_hash", hash((outer.parts, inner.parts)))
 
     def __setattr__(self, name, value):
@@ -447,6 +457,24 @@ def canonicalize(letters, n=None) -> Word:
     return Word(letters, n)
 
 
+def write_subword(word, p: int, q: int, sub) -> tuple:
+    """word with its letters of value in [p, q], in reading order, replaced
+    by the letters of sub shifted up by p - 1; the rest stay put.
+
+    The inverse of ShiftedTableau.interval_subword on the positions it
+    reads; sub must have one letter over [1, q - p + 1]' per position.
+    """
+    lo, hi, shift = 2 * p - 1, 2 * q, 2 * (p - 1)
+    slots = [k for k, x in enumerate(word) if lo <= x <= hi]
+    if len(slots) != len(sub) or not all(1 <= x <= hi - shift for x in sub):
+        raise InvariantError(
+            f"{sub} does not fit the {len(slots)} letters of [{p}, {q}] in {word}")
+    out = list(word)
+    for k, x in zip(slots, sub):
+        out[k] = x + shift
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Shifted tableaux
 
@@ -512,16 +540,14 @@ class ShiftedTableau:
 
     def check(self):
         word = self.word_codes
-        position = self.shape.position
+        shape = self.shape
         rows_primed = set()
         cols_unprimed = set()
-        for (r, c), x in zip(self.shape.cells_reading, word):
+        for (r, c), x, west, north in zip(shape.cells_reading, word, shape.west, shape.north):
             if x < 1:
                 raise ValueError(f"bad letter code {x}")
-            west = position.get((r, c - 1))
             if west is not None and word[west] > x:
                 raise ValueError(f"row {r} decreasing at column {c}")
-            north = position.get((r - 1, c))
             if north is not None and word[north] > x:
                 raise ValueError(f"column {c} decreasing at row {r}")
             v = (x + 1) // 2
@@ -609,35 +635,33 @@ class ShiftedTableau:
             raise ValueError("relabel would produce non-positive values")
         return ShiftedTableau(self.shape, codes)
 
-    def interval_piece(self, p: int, q: int, n: int) -> "ShiftedTableau":
-        """The letters of value in [p, q], shifted down to start at 1.
+    def interval_subword(self, p: int, q: int, n: int) -> tuple:
+        """The letters of value in [p, q] in reading order, as codes shifted
+        down to start at 1.
 
         Raises ValueError when the tableau holds a letter above n.
         """
-        if self.max_value() > n:
+        word = self.word_codes
+        if word and max(word) > 2 * n:
             raise ValueError(f"tableau uses values above n={n}")
-        return self.restrict(p, q).relabel(1 - p)
-
-    def on_interval(self, p: int, q: int, n: int, act):
-        """Apply act to interval_piece(p, q, n) and write its answer back.
-
-        act returns a tableau of the piece's shape, or None (passed on).
-        The piece keeps its letters' reading order, so the answer's letters,
-        shifted back up, replace them in place; the rest stay put.
-        """
-        piece = self.interval_piece(p, q, n)
-        out = act(piece)
-        if out is None:
-            return None
-        if out.shape != piece.shape:
-            raise InvariantError(
-                f"interval action turned shape {piece.shape} into {out.shape}")
-        codes = list(self.word_codes)
         lo, hi, shift = 2 * p - 1, 2 * q, 2 * (p - 1)
-        slots = (k for k, x in enumerate(codes) if lo <= x <= hi)
-        for k, x in zip(slots, out.word_codes):
-            codes[k] = x + shift
-        return ShiftedTableau(self.shape, codes)
+        return tuple(x - shift for x in word if lo <= x <= hi)
+
+    def with_interval_subword(self, p: int, q: int, sub):
+        """The tableau on the same shape with its [p, q] letters replaced by
+        sub (write_subword); None passes through.
+
+        A filling that is not semistandard and canonical is an
+        InvariantError: the answers written back come from operators that
+        must preserve both.
+        """
+        if sub is None:
+            return None
+        try:
+            return ShiftedTableau(self.shape, write_subword(self.word_codes, p, q, sub))
+        except ValueError as exc:
+            raise InvariantError(
+                f"writing {sub} back at [{p}, {q}] of {self} is not a tableau: {exc}") from exc
 
     # -- dunder --------------------------------------------------------------
 
@@ -677,9 +701,13 @@ def _enumerate_cached(outer_parts, inner_parts, n):
     if not cells:
         return (EMPTY_TABLEAU if shape == EMPTY_SHAPE
                 else ShiftedTableau(shape, ()),)
-    # reading positions of the west and south neighbours, both read earlier
-    west_of = [shape.position.get((r, c - 1)) for r, c in cells]
-    below_of = [shape.position.get((r + 1, c)) for r, c in cells]
+    # reading positions of the west and south neighbours, both read earlier;
+    # the south neighbour is the cell whose north neighbour this one is
+    west_of = shape.west
+    below_of = [None] * len(cells)
+    for k, north in enumerate(shape.north):
+        if north is not None:
+            below_of[north] = k
     results = []
     word = [0] * len(cells)
     value_seen = Counter()

@@ -11,19 +11,19 @@ import json
 import os
 
 from .core import (
+    InvariantError,
     ShiftedTableau,
     SkewShape,
     StrictPartition,
     Word,
     enumerate_tableaux,
     shared_shape,
+    write_subword,
 )
 from .involutions import eta_interval
 from .jdt import is_lrs, yamanouchi
-from .operators import (
-    primed_lower_tableau,
-    unprimed_lower,
-)
+from .operators import _colour_one
+from .operators import unprimed_lower  # noqa: F401 (bound for perfbench/test_harness.py)
 
 __all__ = [
     "CrystalGraph",
@@ -138,7 +138,13 @@ class CrystalGraph:
 
 
 def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGraph:
-    """The full crystal on a shape: all vertices, all lowering edges."""
+    """The full crystal on a shape: all vertices, all lowering edges.
+
+    An edge's target is the source's reading word with its {i, i+1}
+    subword replaced by the F_i or F'_i target of that subword, found in
+    the vertices by its word.  The vertices are exactly the valid
+    tableaux, so a target that is not one of them is an InvariantError.
+    """
     if max_vertices is None:
         max_vertices = int(os.environ.get("SHIFTED_CRYSTAL_MAX_VERTICES",
                                           DEFAULT_VERTEX_CAP))
@@ -148,16 +154,20 @@ def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGr
             f"{len(vertices)} vertices exceed the cap {max_vertices}; "
             "raise SHIFTED_CRYSTAL_MAX_VERTICES to override"
         )
-    index = {T: vid for vid, T in enumerate(vertices)}
+    vid_of = {T.word_codes: vid for vid, T in enumerate(vertices)}
     edges = []
     for vid, T in enumerate(vertices):
+        word = T.word_codes
         for i in range(1, n):
-            U = unprimed_lower(T, i, n)
-            if U is not None:
-                edges.append((vid, index[U], i, False))
-            U = primed_lower_tableau(T, i, n)
-            if U is not None:
-                edges.append((vid, index[U], i, True))
+            record = _colour_one(T.interval_subword(i, i + 1, n))
+            for target, primed in ((record.f, False), (record.f_prime, True)):
+                if target is None:
+                    continue
+                dst = vid_of.get(write_subword(word, i, i + 1, target))
+                if dst is None:
+                    op = "F'" if primed else "F"
+                    raise InvariantError(f"{op}_{i} of {T} is not a vertex of B({shape},{n})")
+                edges.append((vid, dst, i, primed))
     return CrystalGraph(shape, n, vertices, edges)
 
 

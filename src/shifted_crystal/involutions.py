@@ -2,19 +2,30 @@
 
 All of these need the alphabet bound n: star complements letter values in
 [n]', and the interval form eta_{p,q} acts on the letters [p,q]' only.
+
+eta_{p,q} is keyed on T's [p, q] subword (ShiftedTableau.interval_subword)
+and on q - p + 1, the alphabet it is reversed over.  Like the colour-i
+operators, reversal is coplactic and acts on the letters [p, q]' through
+their reading word, so the shape drops out and the subword's strip tableau
+stands in for T's own piece.  One bounded cache holds the reversed subword
+per key, and the answer is written back into the same reading positions
+(ShiftedTableau.with_interval_subword).
 """
+
+import functools
 
 from .core import (
     EMPTY_TABLEAU,
     InvariantError,
     ShiftedTableau,
+    Word,
     canonicalize_codes,
     letter,
     letter_value,
     is_primed,
     shared_shape,
 )
-from .jdt import rectify, unrectify
+from .jdt import rectify, strip_tableau, unrectify
 
 __all__ = [
     "IntervalPermutation",
@@ -108,13 +119,21 @@ def eta(T: ShiftedTableau, n: int) -> ShiftedTableau:
     return reversal(T, n)
 
 
+@functools.lru_cache(maxsize=4096)
+def _reversed_subword(k: int, sub: tuple) -> tuple:
+    """The reversal over [k]' of a canonical word, as a word: the reading
+    word of the reversed strip tableau."""
+    return reversal(strip_tableau(Word(sub, k)), k).word_codes
+
+
 def eta_interval(T: ShiftedTableau, p: int, q: int, n: int) -> ShiftedTableau:
     """Restriction of eta to the letters [p, q]'.
 
     Letters outside the interval stay put; the interval's letters are
     shifted down to the alphabet [1, q - p + 1], reversed there, and
-    written back (ShiftedTableau.on_interval).
+    written back in place.
     """
     if not 1 <= p < q <= n:
         raise ValueError(f"need 1 <= p < q <= n, got ({p}, {q}) with n={n}")
-    return T.on_interval(p, q, n, lambda piece: reversal(piece, q - p + 1))
+    sub = T.interval_subword(p, q, n)
+    return T.with_interval_subword(p, q, _reversed_subword(q - p + 1, sub))

@@ -6,14 +6,18 @@ letter values are weakly increasing along standardization numbers, shifting
 the weight moves the boundary number between the value-i and value-(i+1)
 blocks; the primes of each block are then re-derived as the unique split
 giving a canonical word, and the operator is undefined when no split exists.
-Note a prime elsewhere in the word may flip in the process.
+Note a prime elsewhere in the {i, i+1} letters may flip in the process.
 
-Every other colour-i operation is coplactic, so it is a fact about the
-straight two-letter string that T's {i, i+1} letters rectify into.  F_i,
-E_i and sigma_i are each one interval action (ShiftedTableau.on_interval):
-shift the {i, i+1} letters down to {1, 2}, rectify, look the result up in
-its string, undo the rectification and write the letters back.  The length
-functions are read from the same string without the write-back.
+Every colour-i operation depends only on the {i, i+1} subword of the
+reading word: its letters of value i and i+1 in reading order, shifted down
+to {1, 2} (ShiftedTableau.interval_subword).  The shape drops out because
+the operators act on words.  The primed ones move the boundary between the
+value-i and value-(i+1) blocks and leave every other block where it was;
+F_i, E_i and sigma_i are coplactic, so any tableau with that reading word,
+here the subword's strip tableau, gives the same answer.  _colour_one
+computes each subword's F, E, F', E' and sigma targets and Lengths once, in
+a bounded cache; a tableau's answer is its target written back into the
+same reading positions (ShiftedTableau.with_interval_subword).
 
 The solid edges of a straight two-letter crystal are reconstructed from its
 dashed (primed) edges.  Such a crystal is a single string in two possible
@@ -23,6 +27,7 @@ ladder; a two-vertex string is a ladder with no solid edges at all; anything
 else is a single chain following the dashed path.
 """
 
+import collections
 import functools
 import re
 
@@ -36,7 +41,7 @@ from .core import (
     enumerate_tableaux,
     shared_shape,
 )
-from .jdt import rectify, unrectify
+from .jdt import rectify, strip_tableau, unrectify
 
 __all__ = [
     "primed_raise",
@@ -56,8 +61,6 @@ __all__ = [
     "apply_operator",
     "apply_program",
 ]
-
-_CACHE_SIZE = 1 << 18
 
 
 def _check_color(i, n):
@@ -106,33 +109,13 @@ def primed_lower(w: Word, i: int):
     return _revalue_word(w, i, i + 1)
 
 
-def _refill(T: ShiftedTableau, w) -> ShiftedTableau:
-    if w is None:
-        return None
-    try:
-        return ShiftedTableau(T.shape, w.codes)
-    except ValueError as exc:
-        raise InvariantError(f"operator output not semistandard on {T.shape}: {exc}")
+def _codes(w):
+    return None if w is None else w.codes
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _primed_raise_t(T: ShiftedTableau, i: int, n: int):
-    return _refill(T, primed_raise(T.reading_word(n), i))
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _primed_lower_t(T: ShiftedTableau, i: int, n: int):
-    return _refill(T, primed_lower(T.reading_word(n), i))
-
-
-def primed_raise_tableau(T: ShiftedTableau, i: int, n: int):
-    """E'_i on a tableau: same shape, raised reading word."""
-    return _primed_raise_t(T, i, n)
-
-
-def primed_lower_tableau(T: ShiftedTableau, i: int, n: int):
-    """F'_i on a tableau: same shape, lowered reading word."""
-    return _primed_lower_t(T, i, n)
+def _on_reading_word(op):
+    """A primed word operator of colour 1 acting on two-letter tableaux."""
+    return lambda T: T.with_interval_subword(1, 2, _codes(op(T.reading_word(2), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,53 +207,74 @@ def _level(T):
 def _two_letter_string(outer_parts) -> _TwoLetterString:
     """The straight two-letter crystal on this shape, as one string.
 
-    Its arrangement comes from the dashed edges (_arrange); the solid
-    edges, the reflection and the lengths are then read off the chains.
+    Its arrangement comes from the dashed edges (_arrange), computed by the
+    word operators directly; the solid edges, the reflection and the
+    lengths are then read off the chains.
     """
     shape = shared_shape(outer_parts, ())
     verts = enumerate_tableaux(shape, 2)
     if not verts:
         raise InvariantError(f"no two-letter tableaux of shape {shape}")
     return _TwoLetterString(*_arrange(
-        verts, _level,
-        lambda T: primed_raise_tableau(T, 1, 2),
-        lambda T: primed_lower_tableau(T, 1, 2),
-    ))
-
-
-def _on_string(T, i, n, table):
-    """T with its {i, i+1} letters moved by one per-vertex map of their
-    straight two-letter string, or None where the map has no entry."""
-    def act(piece):
-        R, record = rectify(piece)
-        target = getattr(_two_letter_string(R.shape.outer.parts), table).get(R)
-        return None if target is None else unrectify(target, record)
-    return T.on_interval(i, i + 1, n, act)
+        verts, _level, _on_reading_word(primed_raise), _on_reading_word(primed_lower)))
 
 
 # ---------------------------------------------------------------------------
-# Unprimed operators
+# Colour-i operations, keyed on the {i, i+1} subword
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _unprimed_lower(T, i, n):
-    return _on_string(T, i, n, "f_map")
+_Colour1 = collections.namedtuple("_Colour1", "f e f_prime e_prime sigma lengths")
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _unprimed_raise(T, i, n):
-    return _on_string(T, i, n, "e_map")
+@functools.lru_cache(maxsize=4096)
+def _colour_one(sub) -> _Colour1:
+    """The colour-1 record of a canonical word over {1, 2}'.
+
+    Each of F, E, F', E' and sigma maps the word to a target word of the
+    same length (None where undefined); lengths is its Lengths.  The primed
+    targets come from the word operators, the rest from the straight string
+    that the word's strip tableau rectifies into, carried back along the
+    same slides.
+    """
+    w = Word(sub, 2)
+    R, record = rectify(strip_tableau(w))
+    string = _two_letter_string(R.shape.outer.parts)
+    if R not in string.lengths:
+        raise InvariantError(f"{R!r} is missing from its two-letter string")
+
+    def back(target):
+        return None if target is None else unrectify(target, record).word_codes
+
+    return _Colour1(
+        back(string.f_map.get(R)), back(string.e_map.get(R)),
+        _codes(primed_lower(w, 1)), _codes(primed_raise(w, 1)),
+        back(string.sigma_map.get(R)), string.lengths[R],
+    )
+
+
+def _record(T: ShiftedTableau, i: int, n: int) -> _Colour1:
+    """The colour-1 record of T's {i, i+1} subword."""
+    _check_color(i, n)
+    return _colour_one(T.interval_subword(i, i + 1, n))
 
 
 def unprimed_lower(T: ShiftedTableau, i: int, n: int):
     """F_i: one solid edge down, or None."""
-    _check_color(i, n)
-    return _unprimed_lower(T, i, n)
+    return T.with_interval_subword(i, i + 1, _record(T, i, n).f)
 
 
 def unprimed_raise(T: ShiftedTableau, i: int, n: int):
     """E_i: one solid edge up, or None."""
-    _check_color(i, n)
-    return _unprimed_raise(T, i, n)
+    return T.with_interval_subword(i, i + 1, _record(T, i, n).e)
+
+
+def primed_lower_tableau(T: ShiftedTableau, i: int, n: int):
+    """F'_i on a tableau: same shape, lowered reading word."""
+    return T.with_interval_subword(i, i + 1, _record(T, i, n).f_prime)
+
+
+def primed_raise_tableau(T: ShiftedTableau, i: int, n: int):
+    """E'_i on a tableau: same shape, raised reading word."""
+    return T.with_interval_subword(i, i + 1, _record(T, i, n).e_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +356,11 @@ def lengths(T: ShiftedTableau, i: int, n: int) -> Lengths:
     steps above; in a ladder the hatted lengths count solid steps within
     the chain, the primed ones the single rung, and the totals add them.
     """
-    _check_color(i, n)
-    R, _ = rectify(T.interval_piece(i, i + 1, n))
-    return _two_letter_string(R.shape.outer.parts).lengths[R]
+    return _record(T, i, n).lengths
 
 
 # ---------------------------------------------------------------------------
 # Shifted reflection operators
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _sigma(T, i, n):
-    return _on_string(T, i, n, "sigma_map")
-
 
 def sigma(T: ShiftedTableau, i: int, n: int) -> ShiftedTableau:
     """The reflection operator: the i-string flipped through both its axes.
@@ -373,8 +370,7 @@ def sigma(T: ShiftedTableau, i: int, n: int) -> ShiftedTableau:
     in their i-string.  Coincides with eta restricted to the letters
     {i, i+1}'.
     """
-    _check_color(i, n)
-    out = _sigma(T, i, n)
+    out = T.with_interval_subword(i, i + 1, _record(T, i, n).sigma)
     if out is None:
         raise InvariantError(f"sigma_{i} fell off the crystal at {T}")
     return out
@@ -382,18 +378,14 @@ def sigma(T: ShiftedTableau, i: int, n: int) -> ShiftedTableau:
 
 def is_highest(T: ShiftedTableau, n: int) -> bool:
     """True when every raising operator vanishes on T."""
-    return all(
-        unprimed_raise(T, i, n) is None and primed_raise_tableau(T, i, n) is None
-        for i in range(1, n)
-    )
+    records = (_record(T, i, n) for i in range(1, n))
+    return all(r.e is None and r.e_prime is None for r in records)
 
 
 def is_lowest(T: ShiftedTableau, n: int) -> bool:
     """True when every lowering operator vanishes on T."""
-    return all(
-        unprimed_lower(T, i, n) is None and primed_lower_tableau(T, i, n) is None
-        for i in range(1, n)
-    )
+    records = (_record(T, i, n) for i in range(1, n))
+    return all(r.f is None and r.f_prime is None for r in records)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import itertools
 import random
 
 from .core import (
+    InvariantError,
     SkewShape,
     StrictPartition,
     Word,
@@ -218,7 +219,7 @@ def _structure_issues(g) -> list:
                 continue
             try:
                 d = classify_string(T, i, g.n)
-            except Exception as exc:
+            except InvariantError as exc:
                 issues.append({
                     "kind": "string_arrangement",
                     "shape": str(g.shape), "n": g.n, "color": i,

@@ -28,6 +28,7 @@ from shifted_crystal.core import (
     prime_split,
     shared_shape,
     standardize_codes,
+    write_subword,
 )
 from shifted_crystal.involutions import star
 
@@ -325,20 +326,28 @@ def test_splice_interval_compositions():
             assert splice(parts, shape=T.shape) == T
 
 
-def test_on_interval_writes_back_in_place():
+def test_interval_subword_writes_back_in_place():
     for shape_text, n in [("3,2/1", 3), ("4,2", 3)]:
         for T in enumerate_tableaux(SkewShape.parse(shape_text), n):
             for p, q in [(1, 2), (2, 3), (1, 3), (3, 3)]:
-                piece = T.interval_piece(p, q, n)
-                assert piece == T.restrict(p, q).relabel(1 - p)
-                assert T.on_interval(p, q, n, lambda P: P) == T
-                assert T.on_interval(p, q, n, lambda P: None) is None
+                sub = T.interval_subword(p, q, n)
+                assert sub == T.restrict(p, q).relabel(1 - p).word_codes
+                assert T.with_interval_subword(p, q, sub) == T
+                assert T.with_interval_subword(p, q, None) is None
     T = ShiftedTableau.parse("3,1", "1 2 3' / 3")
-    # the {2, 3} piece "1 2' / 2" becomes "1 2 / 2", so 3' turns into 3
-    U = T.on_interval(2, 3, 3, lambda P: ShiftedTableau(P.shape, (4, 2, 4)))
-    assert str(U) == "1 2 3 / 3"
-    with pytest.raises(InvariantError):
-        T.on_interval(1, 2, 3, lambda P: EMPTY_TABLEAU)
+    assert T.interval_subword(2, 3, 3) == (4, 2, 3)  # "2 1 2'"
+    # "2 1 2'" becomes "2 1 2", so 3' turns into 3
+    assert str(T.with_interval_subword(2, 3, (4, 2, 4))) == "1 2 3 / 3"
+    assert write_subword(T.word_codes, 2, 3, (4, 2, 4)) == (6, 2, 4, 6)
+    with pytest.raises(InvariantError):  # one letter too few
+        T.with_interval_subword(2, 3, (4, 2))
+    with pytest.raises(InvariantError):  # a letter outside [1, 2]'
+        T.with_interval_subword(2, 3, (4, 2, 6))
+    with pytest.raises(InvariantError):  # fits, but is not a tableau
+        T.with_interval_subword(2, 3, (2, 4, 4))
+    with pytest.raises(ValueError):  # letters above n
+        T.interval_subword(1, 2, 2)
+    assert T.interval_subword(1, 2, 3) == (2, 4)
 
 
 def test_value_boundary_chain_is_nested():

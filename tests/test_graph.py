@@ -26,6 +26,7 @@ from shifted_crystal import (
     yamanouchi,
 )
 from shifted_crystal import graph as graph_module
+from shifted_crystal.core import InvariantError
 from shifted_crystal.graph import _walk_tables
 from shifted_crystal.operators import classify_string
 
@@ -61,6 +62,19 @@ def test_build_graph_golden_counts(graph_cache):
 def test_vertex_cap():
     with pytest.raises(ValueError):
         build_graph(SkewShape.parse("3,2,1"), 3, max_vertices=2)
+
+
+def test_build_graph_rejects_a_target_outside_the_vertices(monkeypatch):
+    real = graph_module._colour_one
+
+    def wrong(sub):
+        # every letter 1': the word's first letter of value i turns primed,
+        # so no written-back word is canonical, let alone a vertex
+        return real(sub)._replace(f=(1,) * len(sub) if sub else None)
+
+    monkeypatch.setattr(graph_module, "_colour_one", wrong)
+    with pytest.raises(InvariantError, match="is not a vertex"):
+        build_graph(SkewShape.parse("3,1"), 3)
 
 
 def test_components_highest_is_lrs(graph_cache):
