@@ -6,8 +6,9 @@ All of these need the alphabet bound n: star complements letter values in
 eta_{p,q} is keyed on T's [p, q] subword (ShiftedTableau.interval_subword)
 and on q - p + 1, the alphabet it is reversed over.  Like the colour-i
 operators, reversal is coplactic and acts on the letters [p, q]' through
-their reading word, so the shape drops out and the subword's strip tableau
-stands in for T's own piece.  One bounded cache holds the reversed subword
+their reading word, so the shape drops out and the subword's word tableau
+(jdt.strip_tableau: one row per row-fitting run) stands in for T's own
+piece.  One bounded cache holds the reversed subword
 per key, and the answer is written back into the same reading positions
 (ShiftedTableau.with_interval_subword).
 """
@@ -122,7 +123,7 @@ def eta(T: ShiftedTableau, n: int) -> ShiftedTableau:
 @functools.lru_cache(maxsize=4096)
 def _reversed_subword(k: int, sub: tuple) -> tuple:
     """The reversal over [k]' of a canonical word, as a word: the reading
-    word of the reversed strip tableau."""
+    word of the reversed jdt.strip_tableau."""
     return reversal(strip_tableau(Word(sub, k)), k).word_codes
 
 

@@ -17,6 +17,14 @@ shape shared through core.shared_shape (slides land on few shapes).
 Corners that come from the caller (inner_slide, outer_slide, replay,
 unrectify) are checked before each slide; the corners rectify picks itself
 come from the same inner-corner list, so they are not checked a second time.
+
+A word is rectified on strip_tableau(w), a tableau with reading word w whose
+rows are the maximal row-fitting runs of w; rectification depends only on
+the reading word, so the layout changes the work and not the answer.
+order_dependent, the Knuth suite's slide-order check, standardizes a
+tableau once and compares each order's raw result (outer parts, standard
+entries) with the row-order one; it builds a tableau for a random order
+only on a mismatch.
 """
 
 import random
@@ -45,6 +53,7 @@ __all__ = [
     "rectify",
     "unrectify",
     "replay",
+    "order_dependent",
     "strip_tableau",
     "rectify_word",
     "yamanouchi",
@@ -201,6 +210,16 @@ class _SlideState:
         self.inner = list(T.shape.inner.parts)
         self.steps = []
 
+    def copy(self) -> "_SlideState":
+        """An independent state at the same point; values are shared."""
+        twin = object.__new__(_SlideState)
+        twin.entries = dict(self.entries)
+        twin.outer = list(self.outer)
+        twin.inner = list(self.inner)
+        twin.values = self.values
+        twin.steps = list(self.steps)
+        return twin
+
     def slide_inner(self, corner):
         if corner not in _inner_corners(self.inner):
             shape = SkewShape(self.outer, self.inner)
@@ -263,12 +282,43 @@ def rectify(T: ShiftedTableau, rng: random.Random = None):
     The result does not depend on the corner order; when rng is given the
     corners are picked at random from it, otherwise deterministically.
     """
-    state = _SlideState(T)
+    state = _rectify_state(_SlideState(T), rng)
+    return state.finish(), SlideRecord(state.steps)
+
+
+def _rectify_state(state: _SlideState, rng: random.Random = None) -> _SlideState:
+    """Run inner slides on state until its inner shape is empty."""
     while state.inner:
         corners = _inner_corners(state.inner)  # in row order, hence sorted
         corner = corners[0] if rng is None else rng.choice(corners)
         state.slide_inner_unchecked(corner)
-    return state.finish(), SlideRecord(state.steps)
+    return state
+
+
+def order_dependent(T: ShiftedTableau, rng: random.Random, orders: int):
+    """Rectify T in row order and in `orders` random corner orders.
+
+    Returns (witness, slides): witness is the first random-order
+    rectification that differs from the row-order one as a tableau, or None,
+    and slides counts the slides run.  T is standardized once and every
+    order slides a copy of that state.  The row-order result is built and
+    checked; a random-order result whose outer parts and standard entries
+    equal the row-order ones would finish into the same tableau, so it is
+    not built.  Any other result is built and compared as a tableau.
+    """
+    start = _SlideState(T)
+    base = _rectify_state(start.copy())
+    base_tableau = base.finish()
+    slides = len(base.steps)
+    for _ in range(orders):
+        state = _rectify_state(start.copy(), rng)
+        slides += len(state.steps)
+        if state.outer == base.outer and state.entries == base.entries:
+            continue
+        other = state.finish()
+        if other != base_tableau:
+            return other, slides
+    return None, slides
 
 
 def unrectify(S: ShiftedTableau, record: SlideRecord) -> ShiftedTableau:
@@ -305,22 +355,53 @@ def replay(T: ShiftedTableau, record: SlideRecord):
 # ---------------------------------------------------------------------------
 # Words as tableaux
 
-def strip_tableau(w: Word) -> ShiftedTableau:
-    """Anti-diagonal strip tableau whose reading word is w.
+def _row_runs(codes):
+    """Split codes into maximal runs that fit in one row of a tableau:
+    weakly increasing, with no primed code twice."""
+    runs = [[codes[0]]]
+    for x in codes[1:]:
+        last = runs[-1][-1]
+        if x < last or (x == last and x % 2):
+            runs.append([x])
+        else:
+            runs[-1].append(x)
+    return runs
 
-    One cell per letter, no two cells sharing a row or column, so every
-    canonical word embeds.
+
+def strip_tableau(w: Word) -> ShiftedTableau:
+    """A checked tableau whose reading word is w, with few inner cells.
+
+    Each maximal run of w that fits in one row (weakly increasing, no primed
+    letter twice) becomes one row, the first run the bottom row, and each
+    row lies strictly right of every row below it.  No column holds two
+    cells, so every canonical word embeds.  With m runs, row r has
+    (letters in the rows below) + (m - r) inner cells, against N(N - 1) on
+    an anti-diagonal strip of N letters.  The layout does not change any
+    answer taken from it: shifted jeu de taquin rectification depends only
+    on the reading word (Worley; Sagan), and the coplactic operations
+    carried back along the slides give the same reading word on every
+    tableau with reading word w.
     """
-    N = len(w)
-    if N == 0:
+    if not w.codes:
         return EMPTY_TABLEAU
-    outer = tuple(2 * (N - r) + 1 for r in range(1, N + 1))
-    inner = tuple(2 * (N - r) for r in range(1, N))
-    return ShiftedTableau(shared_shape(outer, inner), w.codes)
+    runs = _row_runs(w.codes)
+    outer, inner = [], []
+    below = 0
+    for k, run in enumerate(runs):  # run k fills row m - k
+        outer.append(below + k + len(run))
+        inner.append(below + k)
+        below += len(run)
+    outer.reverse()
+    inner.reverse()
+    return ShiftedTableau(shared_shape(tuple(outer), tuple(inner[:-1])), w.codes)
 
 
 def rectify_word(w: Word) -> Word:
-    """Reading word of the rectification of any tableau with reading word w."""
+    """Reading word of the rectification of any tableau with reading word w.
+
+    Rectified on strip_tableau(w); any other tableau with the same reading
+    word gives the same answer.
+    """
     return rectify(strip_tableau(w))[0].reading_word(w.n)
 
 

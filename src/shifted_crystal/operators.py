@@ -14,7 +14,8 @@ to {1, 2} (ShiftedTableau.interval_subword).  The shape drops out because
 the operators act on words.  The primed ones move the boundary between the
 value-i and value-(i+1) blocks and leave every other block where it was;
 F_i, E_i and sigma_i are coplactic, so any tableau with that reading word,
-here the subword's strip tableau, gives the same answer.  _colour_one
+here the subword's word tableau (jdt.strip_tableau: one row per row-fitting
+run of the subword), gives the same answer.  _colour_one
 computes each subword's F, E, F', E' and sigma targets and Lengths once, in
 a bounded cache; a tableau's answer is its target written back into the
 same reading positions (ShiftedTableau.with_interval_subword).
@@ -232,8 +233,8 @@ def _colour_one(sub) -> _Colour1:
     Each of F, E, F', E' and sigma maps the word to a target word of the
     same length (None where undefined); lengths is its Lengths.  The primed
     targets come from the word operators, the rest from the straight string
-    that the word's strip tableau rectifies into, carried back along the
-    same slides.
+    that the word's tableau (jdt.strip_tableau) rectifies into, carried back
+    along the same slides.
     """
     w = Word(sub, 2)
     R, record = rectify(strip_tableau(w))

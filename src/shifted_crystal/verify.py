@@ -7,6 +7,7 @@ string, and machine-readable details; randomized parts take a seed.
 
 import itertools
 import random
+import time
 
 from .core import (
     InvariantError,
@@ -24,7 +25,7 @@ from .graph import (
     verify_cactus,
 )
 from .involutions import eta_interval
-from .jdt import knuth_neighbors, rectify, rectify_word, yamanouchi
+from .jdt import knuth_neighbors, order_dependent, rectify, strip_tableau, yamanouchi
 from .operators import classify_string, sigma
 
 __all__ = [
@@ -100,8 +101,12 @@ def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) 
     by Knuth moves (union-find over single moves) and checks the classes
     coincide with the fibers of rectification.  Part two rectifies every
     tableau on every skew shape inside the bound with many random corner
-    orders and demands a single result.
+    orders and demands a single result (jdt.order_dependent).
+
+    "checked" counts the words, the tableaux, the random orders per tableau
+    and the slides run by each part; "seconds" times each part.
     """
+    t0 = time.perf_counter()
     words = _canonical_words(max_len, values)
     parent = list(range(len(words)))
     index = {w: k for k, w in enumerate(words)}
@@ -122,7 +127,12 @@ def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) 
             ra, rb = find(k), find(j)
             if ra != rb:
                 parent[ra] = rb
-    rect_of = [rectify_word(w) for w in words]
+    rect_of = []
+    word_slides = 0
+    for w in words:
+        R, record = rectify(strip_tableau(w))
+        rect_of.append(R.reading_word(w.n))
+        word_slides += len(record)
     class_rect = {}
     rect_class = {}
     for k in range(len(words)):
@@ -132,11 +142,13 @@ def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) 
         if rect_class.setdefault(r, c) != c:
             mismatches.append({"kind": "rect_two_classes", "word": str(words[k])})
     n_classes = len({find(k) for k in range(len(words))})
+    t1 = time.perf_counter()
 
     rng = random.Random(seed)
     bound_p = StrictPartition.parse(str(bound))
     shapes_checked = 0
     tableaux_checked = 0
+    order_slides = 0
     for lam in strict_partitions_inside(bound_p):
         for mu in strict_partitions_inside(lam):
             shape = SkewShape(lam, mu)
@@ -144,15 +156,15 @@ def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) 
             for n in range(1, n_max + 1):
                 for T in enumerate_tableaux(shape, n):
                     tableaux_checked += 1
-                    base = rectify(T)[0]
-                    for _ in range(orders):
-                        if rectify(T, rng=rng)[0] != base:
-                            mismatches.append({
-                                "kind": "order_dependent",
-                                "shape": str(shape), "n": n,
-                                "tableau": str(T),
-                            })
-                            break
+                    witness, slides = order_dependent(T, rng, orders)
+                    order_slides += slides
+                    if witness is not None:
+                        mismatches.append({
+                            "kind": "order_dependent",
+                            "shape": str(shape), "n": n,
+                            "tableau": str(T),
+                        })
+    t2 = time.perf_counter()
     ok = not mismatches
     return {
         "suite": "knuth",
@@ -160,6 +172,13 @@ def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) 
         "classes": n_classes,
         "shapes": shapes_checked,
         "tableaux": tableaux_checked,
+        "checked": {
+            "words": len(words),
+            "tableaux": tableaux_checked,
+            "orders": orders,
+            "slides": {"words": word_slides, "orders": order_slides},
+        },
+        "seconds": {"words": round(t1 - t0, 3), "orders": round(t2 - t1, 3)},
         "violations": mismatches,
         "ok": ok,
         "summary": (

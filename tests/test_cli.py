@@ -130,6 +130,19 @@ def test_verify_knuth_honours_shape_and_n():
     assert code == 0 and "on 9 tableaux" in out
 
 
+def test_verify_knuth_json_shows_its_work():
+    code, out = run_cli("verify", "knuth", "--max-size", "2", "--shape", "2,1", "--n", "1",
+                        "--json")
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] and rep["suite"] == "knuth"
+    for key in ("words", "classes", "shapes", "tableaux", "violations", "summary"):
+        assert key in rep
+    assert set(rep["checked"]) == {"words", "tableaux", "orders", "slides"}
+    assert rep["checked"]["tableaux"] == rep["tableaux"] == 9
+    assert set(rep["checked"]["slides"]) == {"words", "orders"}
+    assert set(rep["seconds"]) == {"words", "orders"}
+
+
 def test_zero_values_are_honoured(tmp_path):
     f = tmp_path / "t.txt"
     f.write_text("2,1/\n1 1 / 2\n", encoding="utf-8")

@@ -141,6 +141,13 @@ def test_strip_tableau_and_word_rectification():
     assert S.reading_word(2) == w
     S.check()
     assert str(rectify_word(Word.parse("2 1", n=2))) == "1 2"
+    # runs 2 | 1 2' 3 3 | 1': one row each, the first run at the bottom,
+    # each row right of every row below it
+    S = strip_tableau(Word.parse("2 1 2' 3 3 1'", n=3))
+    assert S.shape == SkewShape.parse("8,6,1/7,2")
+    assert str(S) == "1' / 1 2' 3 3 / 2"
+    assert strip_tableau(Word.parse("1 2 2 3", n=3)).shape == SkewShape.parse("4")
+    assert strip_tableau(Word((), 3)).size == 0
 
 
 def test_yamanouchi_golden_and_uniqueness():

@@ -1,10 +1,21 @@
 """Verification suite runners at reduced desk scope."""
 
+import random
 import time
 
 import pytest
 
-from shifted_crystal import SkewShape, build_graph, verify
+from shifted_crystal import (
+    ShiftedTableau,
+    SkewShape,
+    StrictPartition,
+    build_graph,
+    enumerate_tableaux,
+    jdt,
+    rectify,
+    strict_partitions_inside,
+    verify,
+)
 from shifted_crystal.core import InvariantError
 from shifted_crystal.verify import (
     _structure_issues,
@@ -43,6 +54,63 @@ def test_run_knuth_small_scope():
     rep = run_knuth(max_len=4, values=2, bound="3,1", n_max=2, orders=10, seed=1)
     assert rep["ok"]
     assert rep["words"] > 50 and rep["classes"] > 5
+
+
+def test_run_knuth_reports_what_it_checked():
+    rep = run_knuth(max_len=3, values=2, bound="3,1", n_max=2, orders=4, seed=1)
+    checked = rep["checked"]
+    assert checked["words"] == rep["words"] and checked["tableaux"] == rep["tableaux"]
+    assert checked["orders"] == 4
+    # every order, the row order too, runs one slide per inner cell
+    inner = sum(T.shape.inner.size
+                for lam in strict_partitions_inside(StrictPartition((3, 1)))
+                for mu in strict_partitions_inside(lam)
+                for n in (1, 2)
+                for T in enumerate_tableaux(SkewShape(lam, mu), n))
+    assert checked["slides"]["orders"] == 5 * inner
+    assert checked["slides"]["words"] > 0
+    assert set(rep["seconds"]) == {"words", "orders"}
+
+
+def _swap_top_numbers_away_from_the_first_corner(monkeypatch):
+    """Break slide-order independence without breaking validity.
+
+    A slide that does not start at the first inner corner swaps the cells of
+    the two largest standard numbers, when they are not neighbours and their
+    letters are distinct values, each its own value block.  The result is a
+    different standard filling that still de-standardizes to a tableau.
+    """
+    real = jdt._SlideState.slide_inner_unchecked
+
+    def slide(self, corner):
+        away = corner != jdt._inner_corners(self.inner)[0]
+        end = real(self, corner)
+        vals, N = self.values, len(self.values)
+        if away and N >= 3 and vals[N - 3] < vals[N - 2] < vals[N - 1]:
+            cell = {num: c for c, num in self.entries.items()}
+            a, b = cell[N - 1], cell[N]
+            if abs(a[0] - b[0]) + abs(a[1] - b[1]) > 1:
+                self.entries[a], self.entries[b] = N, N - 1
+        return end
+
+    monkeypatch.setattr(jdt._SlideState, "slide_inner_unchecked", slide)
+
+
+def test_run_knuth_reports_order_dependence(monkeypatch):
+    _swap_top_numbers_away_from_the_first_corner(monkeypatch)
+    rep = run_knuth(max_len=2, values=2, bound="4,3", n_max=3, orders=5, seed=1)
+    assert not rep["ok"]
+    hit = {"kind": "order_dependent", "shape": "4,3/3,1", "n": 3, "tableau": "2 / 1 3"}
+    assert hit in rep["violations"]
+    assert {v["kind"] for v in rep["violations"]} == {"order_dependent"}
+
+
+def test_order_dependent_returns_the_differing_tableau(monkeypatch):
+    T = ShiftedTableau.parse("4,3/3,1", "2 / 1 3")
+    _swap_top_numbers_away_from_the_first_corner(monkeypatch)
+    witness, _ = jdt.order_dependent(T, random.Random(1), 20)
+    assert isinstance(witness, ShiftedTableau)
+    assert witness != rectify(T)[0]
 
 
 def test_run_symmetry_small_scope():
