@@ -116,6 +116,8 @@ def _cmd_verify(args):
     for flag in given:
         if flag not in taken:
             raise ValueError(f"verify {args.suite} does not take --{flag.replace('_', '-')}")
+    if args.max_size is not None and args.max_size < 0:
+        raise ValueError(f"--max-size must be a non-negative integer, got {args.max_size}")
     report = SUITES[args.suite](**{taken[flag]: getattr(args, flag) for flag in given})
     if args.json:
         print(json.dumps(report, indent=1))

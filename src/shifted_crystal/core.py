@@ -18,7 +18,8 @@ destandardize_codes for it.
 
 Shapes that the library builds itself come from shared_shape, a bounded
 cache holding one SkewShape per (outer, inner) pair of part tuples; the
-SkewShape constructor still builds a fresh one.
+SkewShape constructor still builds a fresh one.  Enumerations are not
+cached, and build_graph stops its enumeration at cap + 1 tableaux.
 
 Operators on the letters [p, q]' see only the interval subword: those
 letters in reading order, shifted down to [1, q - p + 1]'
@@ -503,22 +504,6 @@ class ShiftedTableau:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows, inner=EMPTY_PARTITION) -> "ShiftedTableau":
-        """Build from per-row letter lists (top row first), plus inner shape."""
-        inner = StrictPartition(inner)
-        parsed = []
-        for row in rows:
-            if isinstance(row, str):
-                row = [parse_letter(t) for t in row.split()]
-            else:
-                row = [x if isinstance(x, int) else parse_letter(x) for x in row]
-            parsed.append(row)
-        outer = StrictPartition(
-            tuple(inner.part(r) + len(parsed[r - 1]) for r in range(1, len(parsed) + 1))
-        )
-        return cls(SkewShape(outer, inner), [x for row in reversed(parsed) for x in row])
-
-    @classmethod
     def parse(cls, shape_text: str, filling_text: str) -> "ShiftedTableau":
         shape = SkewShape.parse(shape_text)
         chunks = [chunk.strip() for chunk in filling_text.split("/")]
@@ -691,16 +676,15 @@ EMPTY_TABLEAU = ShiftedTableau(EMPTY_SHAPE, ())
 # ---------------------------------------------------------------------------
 # Enumeration
 
-@functools.lru_cache(maxsize=None)
-def _enumerate_cached(outer_parts, inner_parts, n):
-    """Unbounded on purpose: one entry can hold 250 MB of tableaux, so a
-    bound on the entry count would not bound memory.  Bounding it belongs
-    with the vertex cap, checked before enumerating."""
-    shape = shared_shape(outer_parts, inner_parts)
+def _enumerate(shape: SkewShape, n: int, limit: int = None) -> tuple:
+    """enumerate_tableaux(shape, n), or its first limit tableaux when limit
+    (at least 1) is given: the search unwinds once it has that many."""
+    if n < 0:
+        raise ValueError("alphabet bound must be non-negative")
+    shape = shared_shape(shape.outer.parts, shape.inner.parts)
     cells = shape.cells_reading
     if not cells:
-        return (EMPTY_TABLEAU if shape == EMPTY_SHAPE
-                else ShiftedTableau(shape, ()),)
+        return (ShiftedTableau(shape, ()),)
     # reading positions of the west and south neighbours, both read earlier;
     # the south neighbour is the cell whose north neighbour this one is
     west_of = shape.west
@@ -717,7 +701,7 @@ def _enumerate_cached(outer_parts, inner_parts, n):
     def place(idx):
         if idx == len(cells):
             results.append(ShiftedTableau(shape, word, validate=False))
-            return
+            return len(results) != limit  # False unwinds the whole search
         r, c = cells[idx]
         west, below = west_of[idx], below_of[idx]
         lo = word[west] if west is not None else 1
@@ -738,9 +722,11 @@ def _enumerate_cached(outer_parts, inner_parts, n):
                 col_unprimed.add(mark)
             word[idx] = code
             value_seen[v] += 1
-            place(idx + 1)
+            if not place(idx + 1):
+                return False
             value_seen[v] -= 1
             (row_primed if code % 2 else col_unprimed).discard(mark)
+        return True
 
     place(0)
     return tuple(results)
@@ -749,11 +735,10 @@ def _enumerate_cached(outer_parts, inner_parts, n):
 def enumerate_tableaux(shape: SkewShape, n: int) -> tuple:
     """All canonical semistandard fillings of the shape over [n]'.
 
-    Deterministic: sorted lexicographically by reading word.
+    Deterministic: sorted lexicographically by reading word.  Nothing is
+    cached: each call enumerates afresh and the caller owns the tuple.
     """
-    if n < 0:
-        raise ValueError("alphabet bound must be non-negative")
-    return _enumerate_cached(shape.outer.parts, shape.inner.parts, n)
+    return _enumerate(shape, n)
 
 
 # ---------------------------------------------------------------------------

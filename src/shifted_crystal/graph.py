@@ -16,6 +16,7 @@ from .core import (
     SkewShape,
     StrictPartition,
     Word,
+    _enumerate,
     enumerate_tableaux,
     shared_shape,
     write_subword,
@@ -137,23 +138,31 @@ class CrystalGraph:
                 f"|V|={len(self.vertices)}, |E|={len(self.edges)})")
 
 
+def _vertex_cap(max_vertices) -> int:
+    """max_vertices, else SHIFTED_CRYSTAL_MAX_VERTICES, else the default."""
+    source, cap = "max_vertices", max_vertices
+    if cap is None:
+        source = "SHIFTED_CRYSTAL_MAX_VERTICES"
+        cap = os.environ.get(source, str(DEFAULT_VERTEX_CAP))
+        cap = int(cap) if cap.strip().isdecimal() else cap
+    if type(cap) is not int or cap < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {cap!r}")
+    return cap
+
+
 def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGraph:
     """The full crystal on a shape: all vertices, all lowering edges.
 
-    An edge's target is the source's reading word with its {i, i+1}
-    subword replaced by the F_i or F'_i target of that subword, found in
-    the vertices by its word.  The vertices are exactly the valid
-    tableaux, so a target that is not one of them is an InvariantError.
+    Enumeration stops at cap + 1 tableaux, so a refusal costs little.  An
+    edge's target is the source's reading word with its {i, i+1} subword
+    replaced by the F_i or F'_i target of that subword, found in the
+    vertices by its word.  The vertices are exactly the valid tableaux, so
+    a target that is not one of them is an InvariantError.
     """
-    if max_vertices is None:
-        max_vertices = int(os.environ.get("SHIFTED_CRYSTAL_MAX_VERTICES",
-                                          DEFAULT_VERTEX_CAP))
-    vertices = enumerate_tableaux(shape, n)
-    if len(vertices) > max_vertices:
-        raise ValueError(
-            f"{len(vertices)} vertices exceed the cap {max_vertices}; "
-            "raise SHIFTED_CRYSTAL_MAX_VERTICES to override"
-        )
+    cap = _vertex_cap(max_vertices)
+    vertices = _enumerate(shape, n, cap + 1)
+    if len(vertices) > cap:
+        raise ValueError(f"more than {cap} vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override")
     vid_of = {T.word_codes: vid for vid, T in enumerate(vertices)}
     edges = []
     for vid, T in enumerate(vertices):

@@ -24,7 +24,6 @@ from .graph import (
     lrs_count,
     verify_cactus,
 )
-from .involutions import eta_interval
 from .jdt import knuth_neighbors, order_dependent, rectify, strip_tableau, yamanouchi
 from .operators import classify_string, sigma
 
@@ -104,8 +103,12 @@ def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) 
     orders and demands a single result (jdt.order_dependent).
 
     "checked" counts the words, the tableaux, the random orders per tableau
-    and the slides run by each part; "seconds" times each part.
+    and the slides run by each part; "seconds" times each part.  A negative
+    size is a ValueError, not an empty pass.
     """
+    if min(max_len, values, n_max, orders) < 0:
+        raise ValueError("run_knuth: max_len, values, n_max and orders must be non-negative, "
+                         f"got {max_len}, {values}, {n_max}, {orders}")
     t0 = time.perf_counter()
     words = _canonical_words(max_len, values)
     parent = list(range(len(words)))

@@ -5,11 +5,6 @@ import pkgutil
 
 import shifted_crystal
 
-# Unbounded on purpose: one entry can hold a whole enumeration, so an entry
-# bound would not bound memory.  Bounding it by the tableaux it holds is
-# ROADMAP item 4.
-UNBOUNDED = {"shifted_crystal.core._enumerate_cached"}
-
 
 def _module_caches():
     """(qualified name, cache_info()) of every lru_cache bound at module
@@ -26,8 +21,7 @@ def _module_caches():
 
 def test_module_level_caches_are_bounded():
     caches = dict(_module_caches())
-    assert UNBOUNDED <= set(caches)
     unbounded = {name for name, info in caches.items() if info.maxsize is None}
-    assert unbounded == UNBOUNDED
+    assert unbounded == set()
     assert "shifted_crystal.operators._colour_one" in caches
     assert "shifted_crystal.involutions._reversed_subword" in caches

@@ -152,6 +152,37 @@ def test_zero_values_are_honoured(tmp_path):
     assert code == 2
 
 
+def test_vertex_cap_from_the_environment_refuses_early(monkeypatch, capsys):
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "1000")
+    assert main(["graph", "--shape", "7,5,3,1", "--n", "5"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: more than 1000 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override\n")
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "2.5", ""])
+def test_vertex_cap_environment_must_be_a_non_negative_integer(value, monkeypatch, capsys):
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", value)
+    assert main(["graph", "--shape", "2,1", "--n", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: SHIFTED_CRYSTAL_MAX_VERTICES must be a non-negative integer, got {value!r}\n")
+
+
+@pytest.mark.parametrize("suite", ["cactus", "braid", "knuth"])
+def test_verify_rejects_a_negative_max_size(suite, capsys):
+    assert main(["verify", suite, "--max-size", "-1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --max-size must be a non-negative integer, got -1\n")
+
+
+def test_verify_knuth_rejects_negative_sizes(capsys):
+    assert main(["verify", "knuth", "--n", "-2", "--max-size", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "n_max" in err and "non-negative" in err
+    for kwargs in ({"orders": -3}, {"max_len": -1}, {"n_max": -1}):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            verify.run_knuth(**kwargs)
+
+
 # knuth takes all four suite flags, so it has no case here
 @pytest.mark.parametrize("suite, flag, value", [
     ("cactus", "--seed", "3"),

@@ -19,6 +19,7 @@ from shifted_crystal import (
 )
 from shifted_crystal.core import (
     InvariantError,
+    _enumerate,
     canonicalize_codes,
     destandardize_codes,
     is_primed,
@@ -259,6 +260,23 @@ def test_enumerate_empty_cases():
     assert enumerate_tableaux(SkewShape.parse(""), 3) == (EMPTY_TABLEAU,)
     # one-column shape too tall for the alphabet
     assert enumerate_tableaux(SkewShape.parse("2,1"), 1) == ()
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_tableaux(SkewShape.parse(""), -1)
+
+
+def test_enumerate_is_not_cached():
+    shape = SkewShape.parse("3,1/1")
+    assert enumerate_tableaux(shape, 2) is not enumerate_tableaux(shape, 2)
+
+
+def test_early_stop_is_a_prefix_of_the_enumeration():
+    for lam in strict_partitions_inside((4, 3, 2, 1)):
+        for mu in strict_partitions_inside(lam):
+            shape = SkewShape(lam, mu)
+            for n in range(4):
+                full = enumerate_tableaux(shape, n)
+                for k in {1, 2, 7, len(full), len(full) + 1} - {0}:
+                    assert _enumerate(shape, n, k) == full[:k], (shape, n, k)
 
 
 def test_restrict_examples():

@@ -6,6 +6,7 @@ import pytest
 
 from shifted_crystal import (
     CrystalGraph,
+    ShiftedTableau,
     SkewShape,
     StrictPartition,
     build_graph,
@@ -60,8 +61,31 @@ def test_build_graph_golden_counts(graph_cache):
 
 
 def test_vertex_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more than 2 vertices"):
         build_graph(SkewShape.parse("3,2,1"), 3, max_vertices=2)
+    # a cap equal to the vertex count still builds
+    assert len(build_graph(SkewShape.parse("2"), 2, max_vertices=3).vertices) == 3
+
+
+def test_refused_graph_builds_at_most_cap_plus_one_tableaux(monkeypatch):
+    # B((7,5,3,1),5) has 153 600 vertices; the refusal must not enumerate them
+    built = [0]
+    original = ShiftedTableau.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShiftedTableau, "__init__", counted)
+    with pytest.raises(ValueError, match="more than 1000 vertices"):
+        build_graph(SkewShape.parse("7,5,3,1"), 5, max_vertices=1000)
+    assert 0 < built[0] <= 1001
+
+
+@pytest.mark.parametrize("value", [-5, 2.5, "7", True])
+def test_max_vertices_must_be_a_non_negative_integer(value):
+    with pytest.raises(ValueError, match="max_vertices must be a non-negative integer"):
+        build_graph(SkewShape.parse("2,1"), 2, max_vertices=value)
 
 
 def test_build_graph_rejects_a_target_outside_the_vertices(monkeypatch):
