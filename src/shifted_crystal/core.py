@@ -399,8 +399,11 @@ class Word:
     __slots__ = ("codes", "n", "_hash")
 
     def __init__(self, codes=(), n=None):
-        codes = canonicalize_codes(tuple(codes))
-        maxval = max((letter_value(x) for x in codes), default=0)
+        codes = tuple(codes)
+        if codes and min(codes) < 1:
+            raise ValueError(f"letter codes must be at least 1, got {min(codes)}")
+        codes = canonicalize_codes(codes)
+        maxval = letter_value(max(codes, default=0))
         if n is None:
             n = maxval
         elif maxval > n:

@@ -138,8 +138,9 @@ class CrystalGraph:
                 f"|V|={len(self.vertices)}, |E|={len(self.edges)})")
 
 
-def _vertex_cap(max_vertices) -> int:
-    """max_vertices, else SHIFTED_CRYSTAL_MAX_VERTICES, else the default."""
+def _vertex_cap(max_vertices):
+    """(source, cap): max_vertices, else SHIFTED_CRYSTAL_MAX_VERTICES, else
+    the default, which that variable raises."""
     source, cap = "max_vertices", max_vertices
     if cap is None:
         source = "SHIFTED_CRYSTAL_MAX_VERTICES"
@@ -147,7 +148,7 @@ def _vertex_cap(max_vertices) -> int:
         cap = int(cap) if cap.strip().isdecimal() else cap
     if type(cap) is not int or cap < 0:
         raise ValueError(f"{source} must be a non-negative integer, got {cap!r}")
-    return cap
+    return source, cap
 
 
 def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGraph:
@@ -159,10 +160,10 @@ def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGr
     vertices by its word.  The vertices are exactly the valid tableaux, so
     a target that is not one of them is an InvariantError.
     """
-    cap = _vertex_cap(max_vertices)
+    source, cap = _vertex_cap(max_vertices)
     vertices = _enumerate(shape, n, cap + 1)
     if len(vertices) > cap:
-        raise ValueError(f"more than {cap} vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override")
+        raise ValueError(f"more than {cap} vertices; raise {source} to override")
     vid_of = {T.word_codes: vid for vid, T in enumerate(vertices)}
     edges = []
     for vid, T in enumerate(vertices):

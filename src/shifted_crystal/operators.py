@@ -25,7 +25,9 @@ dashed (primed) edges.  Such a crystal is a single string in two possible
 arrangements: a ladder of two equal chains joined by dashed edges, or a
 single chain carrying both edge kinds.  A repeated weight level forces the
 ladder; a two-vertex string is a ladder with no solid edges at all; anything
-else is a single chain following the dashed path.
+else is a single chain following the dashed path.  The string is stored once,
+as its chains (StringDescriptor); F, E, sigma and the Lengths of a vertex
+are read off its place in them (_place_facts).
 """
 
 import collections
@@ -168,62 +170,57 @@ def _arrange(members, level, raise_op, lower_op):
 # ---------------------------------------------------------------------------
 # The straight two-letter crystal
 
-class _TwoLetterString:
-    """One straight two-letter string and, per vertex, every colour-1 fact.
-
-    f_map and e_map are the solid edges, which run along each chain.
-    sigma_map reflects the string through both axes: a chain c of L
-    vertices sends c[j] to c[L-1-j], a ladder (top, bottom) of m-vertex
-    chains swaps top[j] and bottom[m-1-j].  lengths maps each vertex to
-    its Lengths; in a ladder the rung is the one dashed step.
-    """
-
-    __slots__ = ("kind", "chains", "f_map", "e_map", "sigma_map", "lengths")
-
-    def __init__(self, kind, chains):
-        self.kind = kind
-        self.chains = chains
-        self.f_map = {a: b for chain in chains for a, b in zip(chain, chain[1:])}
-        self.e_map = {b: a for a, b in self.f_map.items()}
-        self.sigma_map = dict(zip(
-            (U for chain in chains for U in chain),
-            (U for chain in reversed(chains) for U in reversed(chain)),
-        ))
-        self.lengths = {}
-        for k, chain in enumerate(chains):
-            last = len(chain) - 1
-            for j, U in enumerate(chain):
-                if kind == "collapsed":
-                    self.lengths[U] = Lengths(j, j, last - j, last - j, j, last - j)
-                else:  # k = 0 on the top chain, 1 on the bottom one
-                    self.lengths[U] = Lengths(j, k, last - j, 1 - k, j + k, last - j + 1 - k)
-
-
 def _level(T):
     wt = T.weight(2)
     return wt[0] - wt[1]
 
 
 @functools.lru_cache(maxsize=1024)
-def _two_letter_string(outer_parts) -> _TwoLetterString:
+def _two_letter_string(outer_parts) -> "StringDescriptor":
     """The straight two-letter crystal on this shape, as one string.
 
     Its arrangement comes from the dashed edges (_arrange), computed by the
-    word operators directly; the solid edges, the reflection and the
-    lengths are then read off the chains.
+    word operators directly.
     """
     shape = shared_shape(outer_parts, ())
     verts = enumerate_tableaux(shape, 2)
     if not verts:
         raise InvariantError(f"no two-letter tableaux of shape {shape}")
-    return _TwoLetterString(*_arrange(
+    return StringDescriptor(1, *_arrange(
         verts, _level, _on_reading_word(primed_raise), _on_reading_word(primed_lower)))
+
+
+def _place_facts(R):
+    """(F, E, sigma, Lengths) of a straight two-letter tableau R, read off
+    its place in its string.
+
+    F and E are the next and previous vertex along R's chain.  sigma
+    reflects the string through both axes: a chain c of L vertices sends
+    c[j] to c[L-1-j], a ladder (top, bottom) of m-vertex chains swaps top[j]
+    and bottom[m-1-j].  In a ladder the rung is the one dashed step.
+    """
+    string = _two_letter_string(R.shape.outer.parts)
+    place = string.place.get(R)
+    if place is None:
+        raise InvariantError(f"{R!r} is missing from its two-letter string")
+    k, j = place
+    chain = string.chains[k]
+    last = len(chain) - 1
+    if string.kind == "collapsed":
+        lens = Lengths(j, j, last - j, last - j, j, last - j)
+    else:  # k = 0 on the top chain, 1 on the bottom one
+        lens = Lengths(j, k, last - j, 1 - k, j + k, last - j + 1 - k)
+    return (chain[j + 1] if j < last else None, chain[j - 1] if j else None,
+            string.chains[-1 - k][last - j], lens)
 
 
 # ---------------------------------------------------------------------------
 # Colour-i operations, keyed on the {i, i+1} subword
 
 _Colour1 = collections.namedtuple("_Colour1", "f e f_prime e_prime sigma lengths")
+
+# the length functions of one colour
+Lengths = collections.namedtuple("Lengths", "eps_hat eps_prime phi_hat phi_prime eps phi")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -232,24 +229,19 @@ def _colour_one(sub) -> _Colour1:
 
     Each of F, E, F', E' and sigma maps the word to a target word of the
     same length (None where undefined); lengths is its Lengths.  The primed
-    targets come from the word operators, the rest from the straight string
-    that the word's tableau (jdt.strip_tableau) rectifies into, carried back
-    along the same slides.
+    targets come from the word operators, the rest from the place
+    (_place_facts) of the word's tableau (jdt.strip_tableau), rectified, in
+    its straight string, carried back along the same slides.
     """
     w = Word(sub, 2)
     R, record = rectify(strip_tableau(w))
-    string = _two_letter_string(R.shape.outer.parts)
-    if R not in string.lengths:
-        raise InvariantError(f"{R!r} is missing from its two-letter string")
+    f, e, s, lens = _place_facts(R)
 
     def back(target):
         return None if target is None else unrectify(target, record).word_codes
 
-    return _Colour1(
-        back(string.f_map.get(R)), back(string.e_map.get(R)),
-        _codes(primed_lower(w, 1)), _codes(primed_raise(w, 1)),
-        back(string.sigma_map.get(R)), string.lengths[R],
-    )
+    return _Colour1(back(f), back(e), _codes(primed_lower(w, 1)),
+                    _codes(primed_raise(w, 1)), back(s), lens)
 
 
 def _record(T: ShiftedTableau, i: int, n: int) -> _Colour1:
@@ -286,22 +278,25 @@ class StringDescriptor:
 
     Separated strings carry (top, bottom) chains of equal length; collapsed
     strings a single chain.  Chains are ordered from highest weight down.
+    place maps each member to (k, j): it is chains[k][j].
     """
 
-    __slots__ = ("color", "kind", "chains")
+    __slots__ = ("color", "kind", "chains", "place")
 
     def __init__(self, color, kind, chains):
         self.color = color
         self.kind = kind
         self.chains = tuple(tuple(c) for c in chains)
+        self.place = {T: (k, j) for k, chain in enumerate(self.chains)
+                      for j, T in enumerate(chain)}
 
     @property
     def members(self) -> frozenset:
-        return frozenset(T for chain in self.chains for T in chain)
+        return frozenset(self.place)
 
     @property
     def size(self) -> int:
-        return sum(len(c) for c in self.chains)
+        return len(self.place)
 
     def __repr__(self):
         return f"StringDescriptor(color={self.color}, kind={self.kind}, size={self.size})"
@@ -333,22 +328,6 @@ def classify_string(T: ShiftedTableau, i: int, n: int) -> StringDescriptor:
     return StringDescriptor(i, kind, chains)
 
 
-class Lengths(tuple):
-    """(eps_hat, eps_prime, phi_hat, phi_prime, eps, phi) for one color."""
-
-    __slots__ = ()
-
-    def __new__(cls, eps_hat, eps_prime, phi_hat, phi_prime, eps, phi):
-        return super().__new__(cls, (eps_hat, eps_prime, phi_hat, phi_prime, eps, phi))
-
-    eps_hat = property(lambda self: self[0])
-    eps_prime = property(lambda self: self[1])
-    phi_hat = property(lambda self: self[2])
-    phi_prime = property(lambda self: self[3])
-    eps = property(lambda self: self[4])
-    phi = property(lambda self: self[5])
-
-
 def lengths(T: ShiftedTableau, i: int, n: int) -> Lengths:
     """Partial and total length functions of T for color i.
 
@@ -366,9 +345,9 @@ def lengths(T: ShiftedTableau, i: int, n: int) -> Lengths:
 def sigma(T: ShiftedTableau, i: int, n: int) -> ShiftedTableau:
     """The reflection operator: the i-string flipped through both its axes.
 
-    Looks up the reflection of T's {i, i+1} letters in their straight
-    two-letter string (see _TwoLetterString), so it fixes vertices isolated
-    in their i-string.  Coincides with eta restricted to the letters
+    Reads the reflection of T's {i, i+1} letters off their place in their
+    straight two-letter string (see _place_facts), so it fixes vertices
+    isolated in their i-string.  Coincides with eta restricted to the letters
     {i, i+1}'.
     """
     out = T.with_interval_subword(i, i + 1, _record(T, i, n).sigma)

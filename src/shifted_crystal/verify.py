@@ -53,22 +53,31 @@ def run_cactus(shape="2,1", n=4, max_vertices=None) -> dict:
 def run_braid(shape="5,3,1", n=3, max_vertices=None) -> dict:
     """Search for braid relation failures sigma_i sigma_j sigma_i != ...
 
-    "checked" counts the (vertex, (i, i+1)) pairs examined.
+    Each sigma_i is a vertex-id array, one sigma call per vertex, and the
+    relation composes arrays.  "checked" counts the (vertex, (i, i+1))
+    pairs examined.
     """
     g = build_graph(SkewShape.parse(str(shape)), n, max_vertices)
+
+    def sigma_id(T, i):
+        vid = g.index.get(sigma(T, i, n))
+        if vid is None:
+            raise InvariantError(f"sigma_{i} of {T} is not a vertex of B({shape},{n})")
+        return vid
+
+    s = {i: [sigma_id(T, i) for T in g.vertices] for i in range(1, n)}
     violations = []
     for vid, T in enumerate(g.vertices):
         for i in range(1, n - 1):
             j = i + 1
-            a = sigma(sigma(sigma(T, i, n), j, n), i, n)
-            b = sigma(sigma(sigma(T, j, n), i, n), j, n)
+            a, b = s[i][s[j][s[i][vid]]], s[j][s[i][s[j][vid]]]
             if a != b:
                 violations.append({
                     "witness": vid,
                     "witness_word": str(T.reading_word(n)),
                     "i": i, "j": j,
-                    "sigma_iji": str(a.reading_word(n)),
-                    "sigma_jij": str(b.reading_word(n)),
+                    "sigma_iji": str(g.vertices[a].reading_word(n)),
+                    "sigma_jij": str(g.vertices[b].reading_word(n)),
                 })
     ok = not violations
     return {

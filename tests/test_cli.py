@@ -159,6 +159,14 @@ def test_vertex_cap_from_the_environment_refuses_early(monkeypatch, capsys):
         "", "error: more than 1000 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override\n")
 
 
+def test_vertex_cap_from_max_size_names_its_source(monkeypatch, capsys):
+    # the variable is set but does not set the cap, so raising it would not help
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "100000")
+    assert main(["verify", "cactus", "--shape", "2,1", "--n", "2", "--max-size", "0"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: more than 0 vertices; raise max_vertices to override\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "2.5", ""])
 def test_vertex_cap_environment_must_be_a_non_negative_integer(value, monkeypatch, capsys):
     monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", value)

@@ -32,6 +32,7 @@ from shifted_crystal.core import (
     write_subword,
 )
 from shifted_crystal.involutions import star
+from shifted_crystal.operators import primed_lower
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +122,17 @@ def test_standardize_examples():
 def test_word_out_of_range():
     with pytest.raises(ValueError):
         Word.parse("3", n=2)
+
+
+@pytest.mark.parametrize("codes", [[0, 2], [-1, 2], [2, 0, 4]])
+def test_letter_codes_below_one_are_rejected(codes):
+    # no letter has a code below 1, so none may be counted towards a value
+    with pytest.raises(ValueError, match="letter codes must be at least 1"):
+        Word(codes)
+    with pytest.raises(ValueError, match="letter codes must be at least 1"):
+        canonicalize(codes)
+    with pytest.raises(ValueError, match="letter codes must be at least 1"):
+        primed_lower(Word(codes, 3), 1)
 
 
 @st.composite

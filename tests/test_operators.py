@@ -33,7 +33,7 @@ from shifted_crystal import (
     yamanouchi,
 )
 from shifted_crystal.core import canonicalize_codes
-from shifted_crystal.operators import _two_letter_string
+from shifted_crystal.operators import _place_facts, _two_letter_string
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,39 @@ def test_two_letter_strings_shapes():
     assert chain.kind == "collapsed" and len(chain.chains[0]) == 3
     single = _two_letter_string((1,))
     assert single.kind == "separated" and sum(map(len, single.chains)) == 2
+
+
+def _string_maps(string):
+    """Per vertex of a straight two-letter string, (F, E, sigma, Lengths),
+    built as whole maps from its chains: solid edges along each chain, the
+    reflection as the members read forwards against the chains reversed."""
+    kind, chains = string.kind, string.chains
+    f_map = {a: b for chain in chains for a, b in zip(chain, chain[1:])}
+    e_map = {b: a for a, b in f_map.items()}
+    sigma_map = dict(zip(
+        (U for chain in chains for U in chain),
+        (U for chain in reversed(chains) for U in reversed(chain)),
+    ))
+    lengths_map = {}
+    for k, chain in enumerate(chains):
+        last = len(chain) - 1
+        for j, U in enumerate(chain):
+            if kind == "collapsed":
+                lengths_map[U] = (j, j, last - j, last - j, j, last - j)
+            else:
+                lengths_map[U] = (j, k, last - j, 1 - k, j + k, last - j + 1 - k)
+    return {U: (f_map.get(U), e_map.get(U), sigma_map[U], lengths_map[U])
+            for U in sigma_map}
+
+
+def test_place_facts_match_the_string_maps():
+    shapes = [(a,) for a in range(1, 11)]
+    shapes += [(a, b) for a in range(2, 10) for b in range(1, min(a, 11 - a))]
+    for parts in shapes:
+        string = _two_letter_string(parts)
+        assert string.members == set(enumerate_tableaux(SkewShape(parts), 2))
+        for U, want in _string_maps(string).items():
+            assert _place_facts(U) == want, (parts, U)
 
 
 def test_unprimed_examples():
@@ -305,8 +338,7 @@ def _step_oracle(T, i, n, lowering):
     if mid.size == 0:
         return None
     R, record = rectify(mid.relabel(-(i - 1)))
-    string = _two_letter_string(R.shape.outer.parts)
-    target = (string.f_map if lowering else string.e_map).get(R)
+    target = _place_facts(R)[0 if lowering else 1]
     if target is None:
         return None
     moved = unrectify(target, record).relabel(i - 1)

@@ -32,7 +32,7 @@ from shifted_crystal import (
     unprimed_raise,
     unrectify,
 )
-from shifted_crystal.operators import _two_letter_string
+from shifted_crystal.operators import _place_facts
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +54,11 @@ def _on_piece(T, p, q, n, act):
     return ShiftedTableau(T.shape, codes)
 
 
-def _string_step(table):
+def _string_step(fact):
+    """F (0), E (1) or sigma (2) of the piece, from its rectification's place."""
     def act(piece):
         R, record = rectify(piece)
-        target = getattr(_two_letter_string(R.shape.outer.parts), table).get(R)
+        target = _place_facts(R)[fact]
         return None if target is None else unrectify(target, record)
     return act
 
@@ -69,14 +70,14 @@ def _on_word(T, i, n, op):
 
 def _lengths_of_piece(T, i):
     R, _ = rectify(T.restrict(i, i + 1).relabel(1 - i))
-    return _two_letter_string(R.shape.outer.parts).lengths[R]
+    return _place_facts(R)[3]
 
 
 def _assert_matches_piece_route(T, n):
     for i in range(1, n):
-        assert unprimed_lower(T, i, n) == _on_piece(T, i, i + 1, n, _string_step("f_map")), (T, i)
-        assert unprimed_raise(T, i, n) == _on_piece(T, i, i + 1, n, _string_step("e_map")), (T, i)
-        assert sigma(T, i, n) == _on_piece(T, i, i + 1, n, _string_step("sigma_map")), (T, i)
+        assert unprimed_lower(T, i, n) == _on_piece(T, i, i + 1, n, _string_step(0)), (T, i)
+        assert unprimed_raise(T, i, n) == _on_piece(T, i, i + 1, n, _string_step(1)), (T, i)
+        assert sigma(T, i, n) == _on_piece(T, i, i + 1, n, _string_step(2)), (T, i)
         assert primed_lower_tableau(T, i, n) == _on_word(T, i, n, primed_lower), (T, i)
         assert primed_raise_tableau(T, i, n) == _on_word(T, i, n, primed_raise), (T, i)
         assert lengths(T, i, n) == _lengths_of_piece(T, i), (T, i)

@@ -13,6 +13,7 @@ from shifted_crystal import (
     enumerate_tableaux,
     jdt,
     rectify,
+    sigma,
     strict_partitions_inside,
     verify,
 )
@@ -48,6 +49,27 @@ def test_run_braid_finds_the_witness():
 def test_run_braid_clean_on_tiny_graph():
     rep = run_braid("2,1", 3)
     assert rep["ok"]
+
+
+def test_run_braid_matches_the_per_tableau_composition():
+    n = 3
+    g = build_graph(SkewShape.parse("5,3,1"), n)
+    want = []
+    for vid, T in enumerate(g.vertices):
+        a = sigma(sigma(sigma(T, 1, n), 2, n), 1, n)
+        b = sigma(sigma(sigma(T, 2, n), 1, n), 2, n)
+        if a != b:
+            want.append({"witness": vid, "witness_word": str(T.reading_word(n)),
+                         "i": 1, "j": 2, "sigma_iji": str(a.reading_word(n)),
+                         "sigma_jij": str(b.reading_word(n))})
+    assert want and run_braid("5,3,1", n)["violations"] == want
+
+
+def test_run_braid_raises_when_sigma_leaves_the_graph(monkeypatch):
+    outside = ShiftedTableau.parse("1", "1")
+    monkeypatch.setattr(verify, "sigma", lambda T, i, n: outside)
+    with pytest.raises(InvariantError, match="sigma_1 of .* is not a vertex"):
+        run_braid("2,1", 3)
 
 
 def test_run_knuth_small_scope():
