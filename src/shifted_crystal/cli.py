@@ -118,6 +118,8 @@ def _cmd_verify(args):
             raise ValueError(f"verify {args.suite} does not take --{flag.replace('_', '-')}")
     if args.max_size is not None and args.max_size < 0:
         raise ValueError(f"--max-size must be a non-negative integer, got {args.max_size}")
+    if args.max_report < 0:
+        raise ValueError(f"--max-report must be a non-negative integer, got {args.max_report}")
     report = SUITES[args.suite](**{taken[flag]: getattr(args, flag) for flag in given})
     if args.json:
         print(json.dumps(report, indent=1))
@@ -163,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                      ("reversal", _cmd_reversal)):
         p = sub.add_parser(name, help=f"{name} a tableau")
         p.add_argument("--tableau", required=True)
-        p.add_argument("--n", type=int)
+        if name != "rectify":  # rectification takes no alphabet bound
+            p.add_argument("--n", type=int)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("eta", help="crystal involution, optionally on an interval")

@@ -10,13 +10,15 @@ and re-derives the primes of every value block as the unique split that
 yields a canonical word (core.destandardize_codes); this is what produces
 the prime-adjusting exceptional slides near the diagonal.
 
-While a batch of slides runs, the outer and inner shapes are plain lists of
-parts, updated in place and checked for strictness at every step; a
-ShiftedTableau is built and checked once, when the batch finishes, on a
-shape shared through core.shared_shape (slides land on few shapes).
-Corners that come from the caller (inner_slide, outer_slide, replay,
-unrectify) are checked before each slide; the corners rectify picks itself
-come from the same inner-corner list, so they are not checked a second time.
+While a batch of slides runs, the standard entries are held per row, 0 on
+an inner cell, so a row's length is its outer part; the inner parts are a
+list.  Each slide walks its hole by list index and checks that the parts it
+changes stay strictly decreasing and that the hole stops at the end of its
+row (inner) or just outside the inner shape (outer).  A ShiftedTableau is
+built and checked once, when the batch finishes, on a shape shared through
+core.shared_shape.  Corners from the caller (inner_slide, outer_slide,
+replay, unrectify) are checked before each slide; rectify reads its corner
+rows off the inner parts.
 
 A word is rectified on strip_tableau(w), a tableau with reading word w whose
 rows are the maximal row-fitting runs of w; rectification depends only on
@@ -108,14 +110,17 @@ class SlideRecord:
 # ---------------------------------------------------------------------------
 # Shape bookkeeping for slides, on strict partitions held as lists of parts
 
+def _corner_rows(mu):
+    """The rows, counted from 0 and in order, whose last inner cell is an inner
+    corner: the last one, and each whose part exceeds the next by two or more."""
+    rows = [i for i in range(len(mu) - 1) if mu[i + 1] < mu[i] - 1]
+    if mu:
+        rows.append(len(mu) - 1)
+    return rows
+
+
 def _inner_corners(mu):
-    corners = []
-    for r in range(1, len(mu) + 1):
-        c = r + mu[r - 1] - 1
-        below = mu[r] if r < len(mu) else 0
-        if not (r + 1 <= c <= r + below):
-            corners.append((r, c))
-    return corners
+    return [(i + 1, i + mu[i]) for i in _corner_rows(mu)]
 
 
 def _addable_cells(parts):
@@ -138,118 +143,142 @@ def addable_cells(outer: StrictPartition):
     return _addable_cells(outer.parts)
 
 
-def _resize_row(parts, r, step):
-    """Add a cell to row r (step 1) or take one from it (step -1), in place.
-
-    The parts must stay strictly decreasing.  A zero part can only be the
-    last one, which is dropped, so strictness also keeps every part positive.
-    """
-    if step > 0 and r == len(parts) + 1:
-        parts.append(0)
-    if not 1 <= r <= len(parts):
-        raise InvariantError(f"a slide changed the missing row {r} of {parts}")
-    parts[r - 1] += step
-    if parts[-1] == 0:
-        parts.pop()
-    for k in (r - 2, r - 1):
-        if 0 <= k < len(parts) - 1 and parts[k] <= parts[k + 1]:
-            raise InvariantError(f"parts {parts} are no longer strict after a slide")
-
-
-# ---------------------------------------------------------------------------
-# Standard slides (distinct entries; min fills inner holes, max outer ones)
-
-def _inner_slide_std(entries, r, c):
-    while True:
-        east = entries.get((r, c + 1))
-        south = entries.get((r + 1, c))
-        if east is None and south is None:
-            return r, c
-        if south is None or (east is not None and east < south):
-            entries[(r, c)] = east
-            del entries[(r, c + 1)]
-            c += 1
-        else:
-            entries[(r, c)] = south
-            del entries[(r + 1, c)]
-            r += 1
-
-
-def _outer_slide_std(entries, r, c):
-    while True:
-        west = entries.get((r, c - 1))
-        north = entries.get((r - 1, c))
-        if west is None and north is None:
-            return r, c
-        if north is None or (west is not None and west > north):
-            entries[(r, c)] = west
-            del entries[(r, c - 1)]
-            c -= 1
-        else:
-            entries[(r, c)] = north
-            del entries[(r - 1, c)]
-            r -= 1
-
-
 class _SlideState:
     """Mutable standard tableau used while a batch of slides runs.
 
-    entries maps each cell to its standardization number; values[m] is the
-    letter value carried by number m + 1.
+    rows[r - 1][k] is the standardization number of cell (r, r + k), or 0 on
+    an inner cell, so len(rows[r - 1]) is the outer part of row r; inner is
+    the list of inner parts; values[m] is the letter value carried by number
+    m + 1.  slide_in and slide_out take a row counted from 0.
     """
 
-    __slots__ = ("entries", "outer", "inner", "values", "steps")
+    __slots__ = ("rows", "inner", "values", "steps")
 
     def __init__(self, T: ShiftedTableau):
         std_word = standardize_codes(T.word_codes)
-        self.entries = dict(zip(T.shape.cells_reading, std_word))
-        self.values = [0] * len(std_word)
+        self.values = values = [0] * len(std_word)
         for num, code in zip(std_word, T.word_codes):
-            self.values[num - 1] = (code + 1) // 2
-        self.outer = list(T.shape.outer.parts)
-        self.inner = list(T.shape.inner.parts)
+            values[num - 1] = (code + 1) // 2
+        self.inner = inner = list(T.shape.inner.parts)
+        self.rows = rows = []
+        end = len(std_word)  # the reading word lists the top row last
+        for r, part in enumerate(T.shape.outer.parts):
+            mu = inner[r] if r < len(inner) else 0
+            rows.append([0] * mu + list(std_word[end - part + mu:end]))
+            end -= part - mu
         self.steps = []
 
     def copy(self) -> "_SlideState":
         """An independent state at the same point; values are shared."""
         twin = object.__new__(_SlideState)
-        twin.entries = dict(self.entries)
-        twin.outer = list(self.outer)
-        twin.inner = list(self.inner)
+        twin.rows = [row[:] for row in self.rows]
+        twin.inner = self.inner[:]
         twin.values = self.values
-        twin.steps = list(self.steps)
+        twin.steps = self.steps[:]
         return twin
 
     def slide_inner(self, corner):
         if corner not in _inner_corners(self.inner):
-            shape = SkewShape(self.outer, self.inner)
+            shape = SkewShape([len(row) for row in self.rows], self.inner)
             raise ValueError(f"{corner} is not an inner corner of {shape}")
-        return self.slide_inner_unchecked(corner)
+        return self.slide_in(corner[0] - 1)
 
-    def slide_inner_unchecked(self, corner):
-        """slide_inner from a corner taken from _inner_corners(self.inner)."""
-        end = _inner_slide_std(self.entries, *corner)
-        _resize_row(self.inner, corner[0], -1)
-        _resize_row(self.outer, end[0], -1)
-        self.steps.append(("inner", corner, end))
+    def slide_in(self, i):
+        """Inner slide from the last inner cell of row i + 1; returns the end.
+
+        The hole takes the smaller of its east and south neighbours until it
+        has neither, and must then be the last cell of its row, which goes.
+        """
+        rows, inner = self.rows, self.inner
+        k = inner[i] - 1
+        start = (i + 1, i + 1 + k)
+        if i + 1 < len(inner) and inner[i + 1] >= k:
+            raise InvariantError(f"inner parts {inner} lose strictness in a slide from {start}")
+        inner[i] = k
+        if not k:
+            inner.pop()
+        row = rows[i]
+        below = rows[i + 1] if i + 1 < len(rows) else ()
+        while True:
+            east = row[k + 1] if k + 1 < len(row) else 0
+            south = below[k - 1] if 0 < k <= len(below) else 0
+            if south and (not east or south < east):
+                row[k] = south
+                row, i, k = below, i + 1, k - 1
+                below = rows[i + 1] if i + 1 < len(rows) else ()
+            elif east:
+                row[k] = east
+                k += 1
+            else:
+                break
+        end = (i + 1, i + 1 + k)
+        if k != len(row) - 1:
+            raise InvariantError(f"an inner slide from {start} stopped inside row {i + 1}")
+        row.pop()
+        if below and len(below) >= k:
+            raise InvariantError(f"outer parts lose strictness in a slide from {start}")
+        if not k:
+            rows.pop()
+        self.steps.append(("inner", start, end))
         return end
 
     def slide_outer(self, corner):
-        if corner not in _addable_cells(self.outer):
-            outer = StrictPartition(self.outer)
-            raise ValueError(f"{corner} cannot start an outer slide on {outer}")
-        end = _outer_slide_std(self.entries, *corner)
-        _resize_row(self.outer, corner[0], 1)
-        _resize_row(self.inner, end[0], 1)
-        self.steps.append(("outer", corner, end))
+        outer = [len(row) for row in self.rows]
+        if corner not in _addable_cells(outer):
+            raise ValueError(f"{corner} cannot start an outer slide on {StrictPartition(outer)}")
+        return self.slide_out(corner[0] - 1)
+
+    def slide_out(self, i):
+        """Outer slide into the cell after the end of row i + 1; returns the end.
+
+        The hole takes the larger of its west and north neighbours until it
+        has neither, and must then sit just outside the inner shape, which
+        takes it.
+        """
+        rows, inner = self.rows, self.inner
+        if i == len(rows):
+            rows.append([])
+        row = rows[i]
+        k = len(row)
+        start = (i + 1, i + 1 + k)
+        if i and len(rows[i - 1]) <= k + 1:
+            raise InvariantError(f"outer parts lose strictness in a slide from {start}")
+        row.append(0)
+        above = rows[i - 1] if i else ()
+        while True:
+            west = row[k - 1] if k else 0
+            north = above[k + 1] if k + 1 < len(above) else 0
+            if north and (not west or north > west):
+                row[k] = north
+                row, i, k = above, i - 1, k + 1
+                above = rows[i - 1] if i else ()
+            elif west:
+                row[k] = west
+                k -= 1
+            else:
+                break
+        row[k] = 0
+        end = (i + 1, i + 1 + k)
+        if i > len(inner) or k != (inner[i] if i < len(inner) else 0):
+            raise InvariantError(f"an outer slide from {start} stopped inside row {i + 1}")
+        if i == len(inner):
+            inner.append(0)
+        inner[i] += 1
+        if i and inner[i - 1] <= inner[i]:
+            raise InvariantError(f"inner parts {inner} lose strictness in a slide from {start}")
+        self.steps.append(("outer", start, end))
         return end
 
     def finish(self) -> ShiftedTableau:
         """De-standardize into a tableau on the final shape."""
-        shape = shared_shape(tuple(self.outer), tuple(self.inner))
+        rows, inner = self.rows, self.inner
+        shape = shared_shape(tuple(len(row) for row in rows), tuple(inner))
         positions = [0] * shape.size
-        for k, cell in enumerate(shape.cells_reading):
-            positions[self.entries[cell] - 1] = k
+        k = 0
+        for i in range(len(rows) - 1, -1, -1):
+            for num in rows[i][inner[i] if i < len(inner) else 0:]:
+                positions[num - 1] = k
+                k += 1
         codes = destandardize_codes(self.values, positions)
         if codes is None:
             raise InvariantError(f"no canonical prime split for {self.values} at {positions}")
@@ -287,11 +316,11 @@ def rectify(T: ShiftedTableau, rng: random.Random = None):
 
 
 def _rectify_state(state: _SlideState, rng: random.Random = None) -> _SlideState:
-    """Run inner slides on state until its inner shape is empty."""
+    """Run inner slides on state until its inner shape is empty; the corner
+    rows come in the order inner_corners lists the corners."""
     while state.inner:
-        corners = _inner_corners(state.inner)  # in row order, hence sorted
-        corner = corners[0] if rng is None else rng.choice(corners)
-        state.slide_inner_unchecked(corner)
+        rows = _corner_rows(state.inner)
+        state.slide_in(rows[0] if rng is None else rng.choice(rows))
     return state
 
 
@@ -313,7 +342,7 @@ def order_dependent(T: ShiftedTableau, rng: random.Random, orders: int):
     for _ in range(orders):
         state = _rectify_state(start.copy(), rng)
         slides += len(state.steps)
-        if state.outer == base.outer and state.entries == base.entries:
+        if state.rows == base.rows:
             continue
         other = state.finish()
         if other != base_tableau:

@@ -219,6 +219,8 @@ def test_criterion09_knuth_and_slide_invariance():
                        orders=50, seed=20260811)
     assert report["ok"], report["violations"][:3]
     assert report["words"] == 9094 and report["classes"] == 255
+    # the same work at every seed: one slide per inner cell, in every order
+    assert report["checked"]["slides"] == {"words": 103135, "orders": 376227}
     _elapsed(t0, 300.0)
 
 

@@ -182,6 +182,22 @@ def test_verify_rejects_a_negative_max_size(suite, capsys):
         "", "error: --max-size must be a non-negative integer, got -1\n")
 
 
+def test_verify_rejects_a_negative_max_report(capsys):
+    assert main(["verify", "braid", "--shape", "5,3,1", "--n", "3", "--max-report", "-1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --max-report must be a non-negative integer, got -1\n")
+
+
+def test_rectify_takes_no_alphabet_bound(tmp_path, capsys):
+    f = tmp_path / "t.txt"
+    f.write_text("2,1/\n1 1 / 2\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["rectify", "--tableau", str(f), "--n", "1"])
+    assert exc.value.code == 2 and "--n" in capsys.readouterr().err
+    # evacuate does take the bound, and refuses one below the tableau's letters
+    assert main(["evacuate", "--tableau", str(f), "--n", "1"]) == 2
+
+
 def test_verify_knuth_rejects_negative_sizes(capsys):
     assert main(["verify", "knuth", "--n", "-2", "--max-size", "2"]) == 2
     out, err = capsys.readouterr()

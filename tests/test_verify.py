@@ -66,9 +66,14 @@ def test_run_braid_matches_the_per_tableau_composition():
 
 
 def test_run_braid_raises_when_sigma_leaves_the_graph(monkeypatch):
-    outside = ShiftedTableau.parse("1", "1")
-    monkeypatch.setattr(verify, "sigma", lambda T, i, n: outside)
+    # an all-primed word is never canonical, so never a vertex's word
+    real = verify._colour_one
+    monkeypatch.setattr(verify, "_colour_one",
+                        lambda sub: real(sub)._replace(sigma=(1,) * len(sub)))
     with pytest.raises(InvariantError, match="sigma_1 of .* is not a vertex"):
+        run_braid("2,1", 3)
+    monkeypatch.setattr(verify, "_colour_one", lambda sub: real(sub)._replace(sigma=None))
+    with pytest.raises(InvariantError, match="sigma_1 fell off the crystal"):
         run_braid("2,1", 3)
 
 
@@ -102,20 +107,21 @@ def _swap_top_numbers_away_from_the_first_corner(monkeypatch):
     letters are distinct values, each its own value block.  The result is a
     different standard filling that still de-standardizes to a tableau.
     """
-    real = jdt._SlideState.slide_inner_unchecked
+    real = jdt._SlideState.slide_in
 
-    def slide(self, corner):
-        away = corner != jdt._inner_corners(self.inner)[0]
-        end = real(self, corner)
+    def slide(self, i):
+        away = i + 1 != jdt._inner_corners(self.inner)[0][0]
+        end = real(self, i)
         vals, N = self.values, len(self.values)
         if away and N >= 3 and vals[N - 3] < vals[N - 2] < vals[N - 1]:
-            cell = {num: c for c, num in self.entries.items()}
-            a, b = cell[N - 1], cell[N]
-            if abs(a[0] - b[0]) + abs(a[1] - b[1]) > 1:
-                self.entries[a], self.entries[b] = N, N - 1
+            # rows[r][k] is cell (r + 1, r + 1 + k)
+            cell = {num: (r, k) for r, row in enumerate(self.rows) for k, num in enumerate(row)}
+            (ra, ka), (rb, kb) = cell[N - 1], cell[N]
+            if abs(ra - rb) + abs(ra + ka - rb - kb) > 1:
+                self.rows[ra][ka], self.rows[rb][kb] = N, N - 1
         return end
 
-    monkeypatch.setattr(jdt._SlideState, "slide_inner_unchecked", slide)
+    monkeypatch.setattr(jdt._SlideState, "slide_in", slide)
 
 
 def test_run_knuth_reports_order_dependence(monkeypatch):
