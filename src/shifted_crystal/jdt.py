@@ -24,9 +24,11 @@ A word is rectified on strip_tableau(w), a tableau with reading word w whose
 rows are the maximal row-fitting runs of w; rectification depends only on
 the reading word, so the layout changes the work and not the answer.
 order_dependent, the Knuth suite's slide-order check, standardizes a
-tableau once and compares each order's raw result (outer parts, standard
-entries) with the row-order one; it builds a tableau for a random order
-only on a mismatch.
+tableau once and walks its random orders on one tree of corner choices, so
+orders that share a prefix of choices share the slides along it.  It
+compares each distinct final state raw (outer parts, standard entries) with
+the row-order one and builds a tableau only on a mismatch.  The slides it
+reports are those of the orders checked, not those executed.
 """
 
 import random
@@ -328,26 +330,39 @@ def order_dependent(T: ShiftedTableau, rng: random.Random, orders: int):
     """Rectify T in row order and in `orders` random corner orders.
 
     Returns (witness, slides): witness is the first random-order
-    rectification that differs from the row-order one as a tableau, or None,
-    and slides counts the slides run.  T is standardized once and every
-    order slides a copy of that state.  The row-order result is built and
-    checked; a random-order result whose outer parts and standard entries
-    equal the row-order ones would finish into the same tableau, so it is
-    not built.  Any other result is built and compared as a tableau.
+    rectification that differs from the row-order one as a tableau, or None;
+    slides counts the slides of the orders checked (one per inner cell per
+    order, the row order included), not the slides executed.  The orders
+    draw their corner rows as rectify(T, rng) does and walk one tree of
+    corner choices: a node holds the state its choices reach, its corner
+    rows, its children by chosen row and whether it was compared.  Orders
+    sharing a prefix share its states, and each node's state is slid once,
+    on a copy of its parent's.  Each distinct final state is compared once: one
+    whose outer parts and standard entries equal the row-order ones would
+    finish into the same tableau, so only another is built and compared.
     """
     start = _SlideState(T)
     base = _rectify_state(start.copy())
     base_tableau = base.finish()
-    slides = len(base.steps)
-    for _ in range(orders):
-        state = _rectify_state(start.copy(), rng)
-        slides += len(state.steps)
-        if state.rows == base.rows:
+    per_order = len(base.steps)
+    root = [start, _corner_rows(start.inner), {}, False]  # state, rows, children, compared
+    for done in range(1, orders + 1):
+        node = root
+        while node[1]:
+            i = rng.choice(node[1])
+            child = node[2].get(i)
+            if child is None:
+                state = node[0].copy()
+                state.slide_in(i)
+                child = node[2][i] = [state, _corner_rows(state.inner), {}, False]
+            node = child
+        compared, node[3] = node[3], True
+        if compared or node[0].rows == base.rows:
             continue
-        other = state.finish()
+        other = node[0].finish()
         if other != base_tableau:
-            return other, slides
-    return None, slides
+            return other, per_order * (done + 1)
+    return None, per_order * (orders + 1)
 
 
 def unrectify(S: ShiftedTableau, record: SlideRecord) -> ShiftedTableau:

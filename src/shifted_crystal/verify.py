@@ -5,7 +5,6 @@ Every suite returns a report dict with an "ok" flag, a human "summary"
 string, and machine-readable details; randomized parts take a seed.
 """
 
-import itertools
 import random
 import time
 
@@ -14,7 +13,6 @@ from .core import (
     SkewShape,
     StrictPartition,
     Word,
-    canonicalize_codes,
     enumerate_tableaux,
     strict_partitions_inside,
     strict_partitions_of,
@@ -100,12 +98,22 @@ def run_braid(shape="5,3,1", n=3, max_vertices=None) -> dict:
 
 
 def _canonical_words(max_len: int, values: int):
-    words = set()
-    alphabet = range(1, 2 * values + 1)
-    for L in range(max_len + 1):
-        for codes in itertools.product(alphabet, repeat=L):
-            words.add(canonicalize_codes(codes))
-    return [Word(c, values) for c in sorted(words, key=lambda c: (len(c), c))]
+    """Every canonical word of at most max_len letters over [values]', by
+    length and then by codes.  The first letter of each value is unprimed
+    and a later one takes either code, so each word is built once; extending
+    the words of one length in order, each by its letters in code order,
+    lists the next length in order too."""
+    level, words = [()], [Word((), values)]
+    for _ in range(max_len):
+        longer = []
+        for codes in level:
+            for v in range(1, values + 1):
+                if 2 * v in codes:  # v has appeared, so unprimed first
+                    longer.append(codes + (2 * v - 1,))
+                longer.append(codes + (2 * v,))
+        level = longer
+        words.extend(Word(codes, values) for codes in level)
+    return words
 
 
 def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) -> dict:

@@ -1,5 +1,7 @@
-"""Verification suite runners at reduced desk scope."""
+"""Verification suite runners at reduced desk scope, and jdt.order_dependent's
+tree of corner choices against the copy-per-order loop it replaced."""
 
+import itertools
 import random
 import time
 
@@ -17,8 +19,9 @@ from shifted_crystal import (
     strict_partitions_inside,
     verify,
 )
-from shifted_crystal.core import InvariantError
+from shifted_crystal.core import InvariantError, Word, canonicalize_codes
 from shifted_crystal.verify import (
+    _canonical_words,
     _structure_issues,
     run_braid,
     run_cactus,
@@ -75,6 +78,17 @@ def test_run_braid_raises_when_sigma_leaves_the_graph(monkeypatch):
     monkeypatch.setattr(verify, "_colour_one", lambda sub: real(sub)._replace(sigma=None))
     with pytest.raises(InvariantError, match="sigma_1 fell off the crystal"):
         run_braid("2,1", 3)
+
+
+def test_canonical_words_match_every_code_tuple_canonicalized():
+    for max_len in range(7):
+        for values in range(4):
+            alphabet = range(1, 2 * values + 1)
+            words = {canonicalize_codes(codes)
+                     for L in range(max_len + 1)
+                     for codes in itertools.product(alphabet, repeat=L)}
+            want = [Word(c, values) for c in sorted(words, key=lambda c: (len(c), c))]
+            assert _canonical_words(max_len, values) == want, (max_len, values)
 
 
 def test_run_knuth_small_scope():
@@ -139,6 +153,60 @@ def test_order_dependent_returns_the_differing_tableau(monkeypatch):
     witness, _ = jdt.order_dependent(T, random.Random(1), 20)
     assert isinstance(witness, ShiftedTableau)
     assert witness != rectify(T)[0]
+
+
+def _copy_per_order(T, rng, orders):
+    """order_dependent before the tree: every order rectifies its own copy of
+    the start state.  Also returns the distinct prefixes of the corner rows
+    the orders chose."""
+    start = jdt._SlideState(T)
+    base = jdt._rectify_state(start.copy())
+    base_tableau = base.finish()
+    slides = len(base.steps)
+    prefixes = set()
+    for _ in range(orders):
+        state = jdt._rectify_state(start.copy(), rng)
+        slides += len(state.steps)
+        rows = tuple(r - 1 for _, (r, _), _ in state.steps)
+        prefixes.update(rows[:k] for k in range(1, len(rows) + 1))
+        if state.rows == base.rows:
+            continue
+        other = state.finish()
+        if other != base_tableau:
+            return (other, slides), prefixes
+    return (None, slides), prefixes
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["sound", "order-dependent"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_order_tree_matches_the_copy_per_order_loop(monkeypatch, seed, faulty):
+    """Criterion 9's scope: every tableau inside (4,3,2,1) with n <= 3, 50
+    orders.  Same witness, slides and random draws as the loop, with sound
+    slides and with order-dependent ones, and one slide_in per distinct
+    choice prefix plus the row-order path."""
+    if faulty:
+        _swap_top_numbers_away_from_the_first_corner(monkeypatch)
+    slide_in, slid = jdt._SlideState.slide_in, [0]
+
+    def counted(self, i):
+        slid[0] += 1
+        return slide_in(self, i)
+
+    monkeypatch.setattr(jdt._SlideState, "slide_in", counted)
+    rng_tree, rng_loop = random.Random(seed), random.Random(seed)
+    witnesses = 0
+    for lam in strict_partitions_inside(StrictPartition((4, 3, 2, 1))):
+        for mu in strict_partitions_inside(lam):
+            for n in (1, 2, 3):
+                for T in enumerate_tableaux(SkewShape(lam, mu), n):
+                    want, prefixes = _copy_per_order(T, rng_loop, 50)
+                    slid[0] = 0
+                    got = jdt.order_dependent(T, rng_tree, 50)
+                    assert got == want, str(T)
+                    assert rng_tree.getstate() == rng_loop.getstate(), str(T)
+                    assert slid[0] == T.shape.inner.size + len(prefixes), str(T)
+                    witnesses += want[0] is not None
+    assert (witnesses > 0) == faulty
 
 
 def test_run_symmetry_small_scope():
