@@ -3,10 +3,13 @@
 A graph is built by enumerating the full vertex set first and then computing
 every lowering edge, so connectivity statements stay checkable facts rather
 than assumptions.  Vertex ids index the deterministic enumeration order
-(lexicographic by reading word), which keeps exports byte-stable.
+(lexicographic by reading word), which keeps exports byte-stable.  A graph
+holds each edge once per direction, in id lists, and indexes its vertices by
+reading word; one pass, target_ids, finds the F, F' and sigma targets.
 """
 
 import functools
+import itertools
 import json
 import os
 
@@ -75,35 +78,48 @@ class Component:
 
 
 class CrystalGraph:
-    """Vertices with i-colored solid (F_i) and dashed (F'_i) edges."""
+    """Vertices with i-colored solid (F_i) and dashed (F'_i) edges.
+
+    down[i, primed][v] is the F_i (F'_i if primed) target of vertex v and
+    up[i, primed][v] its source, None where there is no edge; edges is the
+    sorted tuple the exports read, and word_index maps reading words to ids.
+    """
 
     def __init__(self, shape: SkewShape, n: int, vertices, edges, colors=None):
         self.shape = shape
         self.n = n
         self.vertices = tuple(vertices)
-        self.edges = tuple(sorted(edges))
         self.colors = tuple(colors) if colors is not None else tuple(range(1, n))
-        self.index = {T: vid for vid, T in enumerate(self.vertices)}
-        self.out = {}
-        self.into = {}
-        for src, dst, color, primed in self.edges:
-            self.out[(src, color, primed)] = dst
-            self.into[(dst, color, primed)] = src
+        self.word_index = {T.word_codes: vid for vid, T in enumerate(self.vertices)}
+        self._set_edges(edges)
+
+    def _set_edges(self, edges):
+        """The sorted edge tuple and the id lists; an edge outside the graph is a ValueError."""
+        size = len(self.vertices)
+        self.edges = tuple(sorted(edges))
+        self.down = {(i, primed): [None] * size
+                     for i in range(1, self.n) for primed in (False, True)}
+        self.up = {key: [None] * size for key in self.down}
+        for edge in self.edges:
+            src, dst, color, primed = edge
+            if not (0 <= src < size and 0 <= dst < size) or (color, primed) not in self.down:
+                raise ValueError(f"edge {edge} lies outside the {size} vertices "
+                                 f"and colours 1..{self.n - 1} of the graph")
+            self.down[color, primed][src] = dst
+            self.up[color, primed][dst] = src
 
     def vertex_id(self, T: ShiftedTableau) -> int:
-        if T not in self.index:
+        vid = self.word_index.get(T.word_codes) if T.shape == self.shape else None
+        if vid is None:
             raise ValueError("tableau is not a vertex of this graph")
-        return self.index[T]
+        return vid
 
     def neighbors(self, vid: int, colors=None):
         for color in self.colors if colors is None else colors:
             for primed in (False, True):
-                dst = self.out.get((vid, color, primed))
-                if dst is not None:
-                    yield dst
-                src = self.into.get((vid, color, primed))
-                if src is not None:
-                    yield src
+                for targets in (self.down[color, primed], self.up[color, primed]):
+                    if targets[vid] is not None:
+                        yield targets[vid]
 
     @functools.cached_property
     def components(self):
@@ -111,6 +127,9 @@ class CrystalGraph:
 
     def components_in(self, colors):
         """Components of the subgraph that keeps only the edges of these colors."""
+        keys = [(color, primed) for color in colors for primed in (False, True)]
+        downs, ups = [self.down[key] for key in keys], [self.up[key] for key in keys]
+        links = downs + ups
         seen = [False] * len(self.vertices)
         comps = []
         for start in range(len(self.vertices)):
@@ -121,15 +140,14 @@ class CrystalGraph:
             while stack:
                 v = stack.pop()
                 ids.append(v)
-                for u in self.neighbors(v, colors):
-                    if not seen[u]:
+                for targets in links:
+                    u = targets[v]
+                    if u is not None and not seen[u]:
                         seen[u] = True
                         stack.append(u)
             ids.sort()
-            highest = [v for v in ids if not any(
-                (v, c, p) in self.into for c in colors for p in (False, True))]
-            lowest = [v for v in ids if not any(
-                (v, c, p) in self.out for c in colors for p in (False, True))]
+            highest = [v for v in ids if all(up[v] is None for up in ups)]
+            lowest = [v for v in ids if all(down[v] is None for down in downs)]
             comps.append(Component(ids, highest, lowest))
         return tuple(comps)
 
@@ -154,40 +172,51 @@ def _vertex_cap(max_vertices):
 def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGraph:
     """The full crystal on a shape: all vertices, all lowering edges.
 
-    Enumeration stops at cap + 1 tableaux, so a refusal costs little.  An
-    edge's target is the source's reading word with its {i, i+1} subword
-    replaced by the F_i or F'_i target of that subword, found in the
-    vertices by its word.  The vertices are exactly the valid tableaux, so
-    a target that is not one of them is an InvariantError.
+    Enumeration stops at cap + 1 tableaux, so a refusal costs little.  The
+    edges of colour i are the F_i and F'_i lists of target_ids.
     """
     source, cap = _vertex_cap(max_vertices)
     vertices = _enumerate(shape, n, cap + 1)
     if len(vertices) > cap:
         raise ValueError(f"more than {cap} vertices; raise {source} to override")
-    vid_of = {T.word_codes: vid for vid, T in enumerate(vertices)}
-    edges = []
-    for vid, T in enumerate(vertices):
-        word = T.word_codes
-        for i in range(1, n):
-            record = _colour_one(T.interval_subword(i, i + 1, n))
-            for target, primed in ((record.f, False), (record.f_prime, True)):
-                if target is None:
-                    continue
-                dst = vid_of.get(write_subword(word, i, i + 1, target))
-                if dst is None:
-                    op = "F'" if primed else "F"
-                    raise InvariantError(f"{op}_{i} of {T} is not a vertex of B({shape},{n})")
-                edges.append((vid, dst, i, primed))
-    return CrystalGraph(shape, n, vertices, edges)
+    g = CrystalGraph(shape, n, vertices, ())
+    g._set_edges((vid, dst, i, primed) for i in range(1, n)
+                 for primed, targets in zip((False, True), target_ids(g, i, "f", "f_prime"))
+                 for vid, dst in enumerate(targets) if dst is not None)
+    return g
+
+
+def target_ids(g: CrystalGraph, i: int, *fields):
+    """Colour i's targets for each named _colour_one field ("f", "f_prime",
+    "sigma"): one id list per field, None where the operator is undefined.
+    A target's word is the vertex's reading word with its {i, i+1} subword
+    replaced, found in g's word index.  The vertices are exactly the valid
+    tableaux, so a target that is not one of them is an InvariantError, and
+    so is an undefined sigma, which is total."""
+    lists = tuple([] for _ in fields)
+    for T in g.vertices:
+        record = _colour_one(T.interval_subword(i, i + 1, g.n))
+        for field, targets in zip(fields, lists):
+            target = getattr(record, field)
+            if target is None:
+                if field == "sigma":
+                    raise InvariantError(f"sigma_{i} fell off the crystal at {T}")
+                targets.append(None)
+                continue
+            dst = g.word_index.get(write_subword(T.word_codes, i, i + 1, target))
+            if dst is None:
+                op = {"f": "F", "f_prime": "F'"}.get(field, field)
+                raise InvariantError(f"{op}_{i} of {T} is not a vertex of B({g.shape},{g.n})")
+            targets.append(dst)
+    return lists
 
 
 def interval_subgraph(g: CrystalGraph, p: int, q: int) -> CrystalGraph:
     """Same vertices, only the edges colored in [p, q-1]."""
     if not 1 <= p < q <= g.n:
         raise ValueError(f"need 1 <= p < q <= n, got ({p}, {q})")
-    keep = set(range(p, q))
-    edges = [e for e in g.edges if e[2] in keep]
-    return CrystalGraph(g.shape, g.n, g.vertices, edges, colors=sorted(keep))
+    edges = [e for e in g.edges if p <= e[2] < q]
+    return CrystalGraph(g.shape, g.n, g.vertices, edges, colors=range(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +269,7 @@ def cactus_act(g: CrystalGraph, gen, T):
     """s_{p,q} . T = eta_{p,q}(T); accepts a vertex id or tableau."""
     p, q = gen
     vid = T if isinstance(T, int) else g.vertex_id(T)
-    out = eta_interval(g.vertices[vid], p, q, g.n)
-    return g.vertex_id(out)
+    return g.vertex_id(eta_interval(g.vertices[vid], p, q, g.n))
 
 
 def _word_of(g: CrystalGraph, vid: int) -> str:
@@ -264,9 +292,11 @@ def _walk_tables(g: CrystalGraph):
                            "witness": vid, "witness_word": _word_of(g, vid)})
 
     for p, q in cactus_generators(g.n):
-        # the [p,q]-interval subgraph read from g's own edge maps;
+        # the [p,q]-interval subgraph read from g's own id lists;
         # interval_subgraph would copy them once per generator
         colors = range(p, q)
+        moves = [(color, primed, g.down[color, primed], g.up[p + q - 1 - color, primed])
+                 for color in colors for primed in (False, True)]
         t = [None] * len(g.vertices)
         for comp in g.components_in(colors):
             if len(comp.highest_ids) != 1 or len(comp.lowest_ids) != 1:
@@ -281,19 +311,18 @@ def _walk_tables(g: CrystalGraph):
             stack = [high]
             while stack:
                 v = stack.pop()
-                for color in colors:
-                    for primed in (False, True):
-                        u = g.out.get((v, color, primed))
-                        if u is None:
-                            continue
-                        w = g.into.get((t[v], p + q - 1 - color, primed))
-                        if w is None:
-                            fail("missing_edge", p, q, v, color=color, primed=primed)
-                        elif t[u] is None:
-                            t[u] = w
-                            stack.append(u)
-                        elif t[u] != w:
-                            fail("conflict", p, q, u)
+                for color, primed, down, mirrored_up in moves:
+                    u = down[v]
+                    if u is None:
+                        continue
+                    w = mirrored_up[t[v]]
+                    if w is None:
+                        fail("missing_edge", p, q, v, color=color, primed=primed)
+                    elif t[u] is None:
+                        t[u] = w
+                        stack.append(u)
+                    elif t[u] != w:
+                        fail("conflict", p, q, u)
             for vid in comp.vertex_ids:
                 if t[vid] is None:
                     fail("unreached", p, q, vid)
@@ -318,47 +347,27 @@ def verify_cactus(g: CrystalGraph) -> dict:
     gens = [gen for gen in cactus_generators(g.n) if None not in tables[gen]]
     checked = {"involution": 0, "disjoint": 0, "nested": 0}
 
-    for gen in gens:
-        t = tables[gen]
-        checked["involution"] += len(t)
-        for vid in range(len(t)):
-            if t[t[vid]] != vid:
-                violations.append({
-                    "relation": 1, "params": {"p": gen[0], "q": gen[1]},
-                    "witness": vid, "witness_word": _word_of(g, vid),
-                })
-    for a in gens:
-        for b in gens:
-            if a >= b:
-                continue
-            if set(range(a[0], a[1] + 1)) & set(range(b[0], b[1] + 1)):
-                continue
-            ta, tb = tables[a], tables[b]
-            checked["disjoint"] += len(ta)
-            for vid in range(len(ta)):
-                if ta[tb[vid]] != tb[ta[vid]]:
-                    violations.append({
-                        "relation": 2,
-                        "params": {"p": a[0], "q": a[1], "k": b[0], "l": b[1]},
-                        "witness": vid, "witness_word": _word_of(g, vid),
-                    })
+    def relation(number, key, params, lhs, rhs):
+        # the two composed tables must agree at every vertex
+        checked[key] += len(lhs)
+        violations.extend({"relation": number, "params": params,
+                           "witness": vid, "witness_word": _word_of(g, vid)}
+                          for vid, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+
     for p, q in gens:
-        for k, l in gens:
-            if (k, l) == (p, q):
-                continue
-            if not (p <= k and l <= q) or (p + q - l, p + q - k) not in gens:
-                continue
-            inner = tables[(k, l)]
-            outer = tables[(p, q)]
-            mirrored = tables[(p + q - l, p + q - k)]
-            checked["nested"] += len(outer)
-            for vid in range(len(outer)):
-                if outer[inner[vid]] != mirrored[outer[vid]]:
-                    violations.append({
-                        "relation": 3,
-                        "params": {"p": p, "q": q, "k": k, "l": l},
-                        "witness": vid, "witness_word": _word_of(g, vid),
-                    })
+        t = tables[(p, q)]
+        relation(1, "involution", {"p": p, "q": q}, [t[x] for x in t], range(len(t)))
+    for (p, q), (k, l) in itertools.combinations(gens, 2):
+        if q < k:  # disjoint intervals; gens is sorted, so p <= k
+            ta, tb = tables[(p, q)], tables[(k, l)]
+            relation(2, "disjoint", {"p": p, "q": q, "k": k, "l": l},
+                     [ta[x] for x in tb], [tb[x] for x in ta])
+    for (p, q), (k, l) in itertools.product(gens, gens):
+        mirror = (p + q - l, p + q - k)
+        if (k, l) != (p, q) and p <= k and l <= q and mirror in gens:
+            inner, outer, mirrored = tables[(k, l)], tables[(p, q)], tables[mirror]
+            relation(3, "nested", {"p": p, "q": q, "k": k, "l": l},
+                     [outer[x] for x in inner], [mirrored[x] for x in outer])
     return {
         "graph": {"shape": str(g.shape), "n": g.n,
                   "vertices": len(g.vertices), "edges": len(g.edges)},
@@ -394,13 +403,13 @@ def component_isomorphic_to_straight(g: CrystalGraph, comp: Component) -> bool:
         v = stack.pop()
         for color in g.colors:
             for primed in (False, True):
-                u = g.out.get((v, color, primed))
+                u = g.down[color, primed][v]
+                mu_ = model.down[color, primed][mapping[v]]
                 if u is None:
-                    if (mapping[v], color, primed) in model.out:
+                    if mu_ is not None:
                         raise ValueError("model has an edge the component lacks")
                     continue
                 comp_edges += 1
-                mu_ = model.out.get((mapping[v], color, primed))
                 if mu_ is None:
                     raise ValueError("component has an edge the model lacks")
                 if u in mapping:

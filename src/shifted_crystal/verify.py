@@ -16,15 +16,15 @@ from .core import (
     enumerate_tableaux,
     strict_partitions_inside,
     strict_partitions_of,
-    write_subword,
 )
 from .graph import (
     build_graph,
     lrs_count,
+    target_ids,
     verify_cactus,
 )
 from .jdt import knuth_neighbors, order_dependent, rectify, strip_tableau, yamanouchi
-from .operators import _colour_one, classify_string
+from .operators import classify_string
 
 __all__ = [
     "run_cactus",
@@ -52,24 +52,14 @@ def run_cactus(shape="2,1", n=4, max_vertices=None) -> dict:
 def run_braid(shape="5,3,1", n=3, max_vertices=None) -> dict:
     """Search for braid relation failures sigma_i sigma_j sigma_i != ...
 
-    Each sigma_i is a vertex-id array: the sigma target of each vertex's
-    {i, i+1} subword, written back into its reading word and looked up, as
-    build_graph finds edges.  The relation composes arrays.  "checked"
+    Each sigma_i is a vertex-id array from graph.target_ids, the pass in
+    which build_graph finds the F_i and F'_i edges: the sigma target of each
+    vertex's {i, i+1} subword, written back into its reading word and looked
+    up in the graph's word index.  The relation composes arrays.  "checked"
     counts the (vertex, (i, i+1)) pairs examined.
     """
     g = build_graph(SkewShape.parse(str(shape)), n, max_vertices)
-    vid_of = {T.word_codes: vid for vid, T in enumerate(g.vertices)}
-
-    def sigma_id(T, i):
-        target = _colour_one(T.interval_subword(i, i + 1, n)).sigma
-        if target is None:
-            raise InvariantError(f"sigma_{i} fell off the crystal at {T}")
-        vid = vid_of.get(write_subword(T.word_codes, i, i + 1, target))
-        if vid is None:
-            raise InvariantError(f"sigma_{i} of {T} is not a vertex of B({shape},{n})")
-        return vid
-
-    s = {i: [sigma_id(T, i) for T in g.vertices] for i in range(1, n)}
+    s = {i: target_ids(g, i, "sigma")[0] for i in range(1, n)}
     violations = []
     for vid, T in enumerate(g.vertices):
         for i in range(1, n - 1):

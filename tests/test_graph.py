@@ -101,6 +101,38 @@ def test_build_graph_rejects_a_target_outside_the_vertices(monkeypatch):
         build_graph(SkewShape.parse("3,1"), 3)
 
 
+def test_id_lists_hold_exactly_the_edges(graph_cache):
+    for shape, n in DESK_GRAPHS + [("3,1/1", 3)]:
+        g = graph_cache(shape, n)
+        from_lists = sorted((src, dst, color, primed)
+                            for (color, primed), targets in g.down.items()
+                            for src, dst in enumerate(targets) if dst is not None)
+        assert tuple(from_lists) == g.edges, (shape, n)
+        for src, dst, color, primed in g.edges:
+            assert g.up[color, primed][dst] == src
+        assert sum(x is not None for ids in g.up.values() for x in ids) == len(g.edges)
+
+
+def test_vertex_id_rejects_a_tableau_of_another_shape(graph_cache):
+    # the index is keyed by reading word: (2, 2) is the word of "1 1" in
+    # B((2),2), so the shape must be checked before the word is looked up
+    g = graph_cache("2", 2)
+    other = ShiftedTableau.parse("3,1/2", "1 / 1")
+    assert other.word_codes == (2, 2)
+    assert any(T.word_codes == (2, 2) for T in g.vertices)
+    with pytest.raises(ValueError, match="not a vertex"):
+        g.vertex_id(other)
+
+
+def test_graph_from_json_rejects_an_edge_outside_the_graph(graph_cache):
+    g = graph_cache("2,1", 3)
+    for field, value in [("src", -1), ("dst", len(g.vertices)), ("color", g.n)]:
+        obj = json.loads(export_json(g))
+        obj["edges"][0][field] = value
+        with pytest.raises(ValueError, match="outside"):
+            graph_from_json(json.dumps(obj))
+
+
 def test_components_highest_is_lrs(graph_cache):
     g = graph_cache("3,1/1", 3)
     assert sum(len(c) for c in g.components) == len(g.vertices)
@@ -220,6 +252,37 @@ def test_verify_cactus_reports_a_wrong_anchor(graph_cache, monkeypatch):
         "kind": "anchor", "params": {"p": 1, "q": 3},
         "witness": comp.highest, "witness_word": str(high.reading_word(4)),
     }]
+
+
+def test_verify_cactus_pins_each_relation_violation(monkeypatch):
+    # B((1),4) is the path 1 -> 2 -> 3 -> 4, so every eta_{p,q} table
+    # reverses [p, q]; s_{1,2} is broken to send "1" to "3" instead of "2"
+    g = build_graph(SkewShape.parse("1"), 4)
+    real = graph_module._walk_tables
+
+    def broken(g):
+        tables, anchors, violations = real(g)
+        assert tables[(1, 2)] == [1, 0, 2, 3] and violations == []
+        tables[(1, 2)][0] = 2
+        return tables, anchors, violations
+
+    monkeypatch.setattr(graph_module, "_walk_tables", broken)
+    rep = verify_cactus(g)
+    assert rep["checked"] == {"involution": 24, "disjoint": 4, "nested": 36}
+    want = [
+        (1, {"p": 1, "q": 2}, 0),
+        (1, {"p": 1, "q": 2}, 1),
+        (2, {"p": 1, "q": 2, "k": 3, "l": 4}, 0),
+        (3, {"p": 1, "q": 3, "k": 1, "l": 2}, 0),
+        (3, {"p": 1, "q": 3, "k": 2, "l": 3}, 2),
+        (3, {"p": 1, "q": 4, "k": 1, "l": 2}, 0),
+        (3, {"p": 1, "q": 4, "k": 3, "l": 4}, 3),
+    ]
+    assert rep["violations"] == [
+        {"relation": r, "params": params, "witness": w, "witness_word": str(w + 1)}
+        for r, params, w in want
+    ]
+    assert rep["ok"] is False
 
 
 def test_rooted_isomorphism_full_scope(graph_cache):

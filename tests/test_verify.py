@@ -13,6 +13,7 @@ from shifted_crystal import (
     StrictPartition,
     build_graph,
     enumerate_tableaux,
+    graph,
     jdt,
     rectify,
     sigma,
@@ -70,12 +71,13 @@ def test_run_braid_matches_the_per_tableau_composition():
 
 def test_run_braid_raises_when_sigma_leaves_the_graph(monkeypatch):
     # an all-primed word is never canonical, so never a vertex's word
-    real = verify._colour_one
-    monkeypatch.setattr(verify, "_colour_one",
+    # the sigma lookup is graph.target_ids, which reads graph._colour_one
+    real = graph._colour_one
+    monkeypatch.setattr(graph, "_colour_one",
                         lambda sub: real(sub)._replace(sigma=(1,) * len(sub)))
     with pytest.raises(InvariantError, match="sigma_1 of .* is not a vertex"):
         run_braid("2,1", 3)
-    monkeypatch.setattr(verify, "_colour_one", lambda sub: real(sub)._replace(sigma=None))
+    monkeypatch.setattr(graph, "_colour_one", lambda sub: real(sub)._replace(sigma=None))
     with pytest.raises(InvariantError, match="sigma_1 fell off the crystal"):
         run_braid("2,1", 3)
 
