@@ -94,7 +94,9 @@ class CrystalGraph:
         self._set_edges(edges)
 
     def _set_edges(self, edges):
-        """The sorted edge tuple and the id lists; an edge outside the graph is a ValueError."""
+        """The sorted edge tuple and the id lists.  An edge outside the graph,
+        or a second edge of one colour and kind out of or into a vertex, is a
+        ValueError."""
         size = len(self.vertices)
         self.edges = tuple(sorted(edges))
         self.down = {(i, primed): [None] * size
@@ -105,21 +107,17 @@ class CrystalGraph:
             if not (0 <= src < size and 0 <= dst < size) or (color, primed) not in self.down:
                 raise ValueError(f"edge {edge} lies outside the {size} vertices "
                                  f"and colours 1..{self.n - 1} of the graph")
-            self.down[color, primed][src] = dst
-            self.up[color, primed][dst] = src
+            down, up = self.down[color, primed], self.up[color, primed]
+            if down[src] is not None or up[dst] is not None:
+                kind = "dashed" if primed else "solid"
+                raise ValueError(f"edge {edge} repeats a vertex's {kind} colour-{color} edge")
+            down[src], up[dst] = dst, src
 
     def vertex_id(self, T: ShiftedTableau) -> int:
         vid = self.word_index.get(T.word_codes) if T.shape == self.shape else None
         if vid is None:
             raise ValueError("tableau is not a vertex of this graph")
         return vid
-
-    def neighbors(self, vid: int, colors=None):
-        for color in self.colors if colors is None else colors:
-            for primed in (False, True):
-                for targets in (self.down[color, primed], self.up[color, primed]):
-                    if targets[vid] is not None:
-                        yield targets[vid]
 
     @functools.cached_property
     def components(self):

@@ -20,14 +20,17 @@ computes each subword's F, E, F', E' and sigma targets and Lengths once, in
 a bounded cache; a tableau's answer is its target written back into the
 same reading positions (ShiftedTableau.with_interval_subword).
 
-The solid edges of a straight two-letter crystal are reconstructed from its
-dashed (primed) edges.  Such a crystal is a single string in two possible
-arrangements: a ladder of two equal chains joined by dashed edges, or a
-single chain carrying both edge kinds.  A repeated weight level forces the
-ladder; a two-vertex string is a ladder with no solid edges at all; anything
-else is a single chain following the dashed path.  The string is stored once,
-as its chains (StringDescriptor); F, E, sigma and the Lengths of a vertex
-are read off its place in them (_place_facts).
+A string is arranged once, on words, from one map of its dashed (primed)
+edges (_arrange): each member, a word over {1, 2}', maps to its E' and F'
+targets.  A string comes in two arrangements: a ladder of two equal chains
+joined by dashed edges, or a single chain carrying both edge kinds.  A
+repeated weight level forces the ladder; a two-vertex string is a ladder
+with no solid edges at all; anything else is a single chain following the
+dashed path.  The straight two-letter crystal is one string, arranged from
+the word operators and stored once, as its chains (StringDescriptor); F, E,
+sigma and the Lengths of a vertex are read off its place in them
+(_place_facts).  classify_string arranges the i-string through a tableau
+from the colour-one records of its subwords.
 """
 
 import collections
@@ -116,11 +119,6 @@ def _codes(w):
     return None if w is None else w.codes
 
 
-def _on_reading_word(op):
-    """A primed word operator of colour 1 acting on two-letter tableaux."""
-    return lambda T: T.with_interval_subword(1, 2, _codes(op(T.reading_word(2), 1)))
-
-
 # ---------------------------------------------------------------------------
 # String arrangements
 
@@ -129,39 +127,45 @@ def _string_error(problem, members):
         f"{problem} in the {len(members)}-vertex string through {members[0]!r}")
 
 
-def _arrange(members, level, raise_op, lower_op):
-    """Arrangement of one string from its members and its dashed edges.
+def _arrange(dashed):
+    """Arrangement of one string from its dashed edges.
 
-    raise_op and lower_op are E' and F' on members; level is the weight
-    difference across the color.  Returns (kind, chains) with chains
-    ordered from highest weight down.  A single vertex is collapsed; a
-    repeated level, or exactly two vertices, forces a ladder of two chains
-    joined by dashed rungs; anything else is one chain along the dashed
-    path.
+    dashed maps each member, a word over {1, 2}' as codes, to its (E', F')
+    targets, None where undefined; a target outside the string is an
+    InvariantError.  A word's level is its letters of value 1 minus its
+    letters of value 2.  Returns (kind, chains) with chains ordered from
+    highest weight down.  A single vertex is collapsed; a repeated level,
+    or exactly two vertices, forces a ladder of two chains joined by dashed
+    rungs; anything else is one chain along the dashed path.
     """
-    members = list(members)
+    members = list(dashed)
+    if any(t is not None and t not in dashed for targets in dashed.values() for t in targets):
+        raise _string_error("dashed edge leaves the string", members)
     if len(members) == 1:
         return "collapsed", (tuple(members),)
-    levels = [level(U) for U in members]
-    if len(set(levels)) < len(levels) or len(members) == 2:
-        top = sorted((U for U in members if raise_op(U) is None), key=level, reverse=True)
-        bottom = sorted((U for U in members if lower_op(U) is None), key=level, reverse=True)
+    level = {w: sum(1 if x <= 2 else -1 for x in w) for w in members}
+    up = {w: e for w, (e, _) in dashed.items()}
+    down = {w: f for w, (_, f) in dashed.items()}
+    if len(set(level.values())) < len(members) or len(members) == 2:
+        top = sorted((w for w in members if up[w] is None), key=level.get, reverse=True)
+        bottom = sorted((w for w in members if down[w] is None), key=level.get, reverse=True)
         if len(top) != len(bottom) or 2 * len(top) != len(members) or set(top) & set(bottom):
             raise _string_error("ladder chains malformed", members)
         for chain in (top, bottom):
             for a, b in zip(chain, chain[1:]):
-                if level(a) != level(b) + 2:
+                if level[a] != level[b] + 2:
                     raise _string_error("chain levels not in steps of 2", members)
         for u, v in zip(top, bottom):
-            if lower_op(u) != v or raise_op(v) != u or level(u) != level(v) + 2:
+            if down[u] != v or up[v] != u or level[u] != level[v] + 2:
                 raise _string_error("ladder rungs malformed", members)
         return "separated", (tuple(top), tuple(bottom))
-    starts = [U for U in members if raise_op(U) is None]
+    starts = [w for w in members if up[w] is None]
     if len(starts) != 1:
         raise _string_error(f"single chain with {len(starts)} starts", members)
     chain = [starts[0]]
-    while (U := lower_op(chain[-1])) is not None:
-        chain.append(U)
+    # a path longer than the string has closed a cycle
+    while len(chain) <= len(members) and (w := down[chain[-1]]) is not None:
+        chain.append(w)
     if len(chain) != len(members):
         raise _string_error("dashed path does not cover the string", members)
     return "collapsed", (tuple(chain),)
@@ -170,24 +174,20 @@ def _arrange(members, level, raise_op, lower_op):
 # ---------------------------------------------------------------------------
 # The straight two-letter crystal
 
-def _level(T):
-    wt = T.weight(2)
-    return wt[0] - wt[1]
-
-
 @functools.lru_cache(maxsize=1024)
 def _two_letter_string(outer_parts) -> "StringDescriptor":
     """The straight two-letter crystal on this shape, as one string.
 
-    Its arrangement comes from the dashed edges (_arrange), computed by the
-    word operators directly.
+    Its arrangement comes from the dashed edges (_arrange) that the primed
+    word operators give on the tableaux' reading words.
     """
     shape = shared_shape(outer_parts, ())
-    verts = enumerate_tableaux(shape, 2)
+    verts = {T.word_codes: T for T in enumerate_tableaux(shape, 2)}
     if not verts:
         raise InvariantError(f"no two-letter tableaux of shape {shape}")
-    return StringDescriptor(1, *_arrange(
-        verts, _level, _on_reading_word(primed_raise), _on_reading_word(primed_lower)))
+    kind, chains = _arrange({w: (_codes(primed_raise(Word(w, 2), 1)),
+                                 _codes(primed_lower(Word(w, 2), 1))) for w in verts})
+    return StringDescriptor(1, kind, [[verts[w] for w in chain] for chain in chains])
 
 
 def _place_facts(R):
@@ -303,29 +303,25 @@ class StringDescriptor:
 
 
 def classify_string(T: ShiftedTableau, i: int, n: int) -> StringDescriptor:
-    """The full i-string through T, classified as separated or collapsed."""
-    members = {T}
-    frontier = [T]
+    """The full i-string through T, classified as separated or collapsed.
+
+    The string is walked on T's {i, i+1} subword, along the F, E, F' and E'
+    targets of the colour-one records (_colour_one), and arranged from their
+    dashed ones; each member is written back into T once, which checks it.
+    """
+    _check_color(i, n)
+    start = T.interval_subword(i, i + 1, n)
+    records = {start: _colour_one(start)}
+    frontier = [start]
     while frontier:
-        nxt = []
-        for U in frontier:
-            for op in (unprimed_lower, unprimed_raise, primed_lower_tableau, primed_raise_tableau):
-                V = op(U, i, n)
-                if V is not None and V not in members:
-                    members.add(V)
-                    nxt.append(V)
-        frontier = nxt
-
-    def level(U):
-        wt = U.weight(n)
-        return wt[i - 1] - wt[i]
-
-    kind, chains = _arrange(
-        members, level,
-        lambda U: primed_raise_tableau(U, i, n),
-        lambda U: primed_lower_tableau(U, i, n),
-    )
-    return StringDescriptor(i, kind, chains)
+        r = records[frontier.pop()]
+        for sub in (r.f, r.e, r.f_prime, r.e_prime):
+            if sub is not None and sub not in records:
+                records[sub] = _colour_one(sub)
+                frontier.append(sub)
+    kind, chains = _arrange({sub: (r.e_prime, r.f_prime) for sub, r in records.items()})
+    return StringDescriptor(i, kind, [[T.with_interval_subword(i, i + 1, sub) for sub in chain]
+                                      for chain in chains])
 
 
 def lengths(T: ShiftedTableau, i: int, n: int) -> Lengths:

@@ -239,6 +239,12 @@ def run_symmetry(bound="4,3,2,1") -> dict:
 
 
 def _structure_issues(g) -> list:
+    """Extremal counts per component, and the arrangement of every string.
+
+    The i-strings are the components of the colour-i edges; each is
+    classified once, from its lowest-id vertex, and must have the
+    component's members.
+    """
     issues = []
     for comp in g.components:
         if len(comp.highest_ids) != 1 or len(comp.lowest_ids) != 1:
@@ -248,21 +254,17 @@ def _structure_issues(g) -> list:
                 "highest": len(comp.highest_ids), "lowest": len(comp.lowest_ids),
             })
     for i in range(1, g.n):
-        seen = set()
-        for T in g.vertices:
-            if T in seen:
-                continue
+        for comp in g.components_in((i,)):
+            T = g.vertices[comp.vertex_ids[0]]
+            where = {"shape": str(g.shape), "n": g.n, "color": i, "tableau": str(T)}
             try:
                 d = classify_string(T, i, g.n)
             except InvariantError as exc:
-                issues.append({
-                    "kind": "string_arrangement",
-                    "shape": str(g.shape), "n": g.n, "color": i,
-                    "tableau": str(T), "error": str(exc),
-                })
-                seen.add(T)
+                issues.append({"kind": "string_arrangement", **where, "error": str(exc)})
                 continue
-            seen.update(d.members)
+            if d.members != {g.vertices[v] for v in comp.vertex_ids}:
+                issues.append({"kind": "string_members", **where,
+                               "members": d.size, "component": len(comp)})
     return issues
 
 

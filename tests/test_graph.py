@@ -133,6 +133,19 @@ def test_graph_from_json_rejects_an_edge_outside_the_graph(graph_cache):
             graph_from_json(json.dumps(obj))
 
 
+def test_graph_from_json_rejects_conflicting_edges(graph_cache):
+    g = graph_cache("2,1", 3)
+    src, dst, color, primed = g.edges[0]
+    down, up = g.down[color, primed], g.up[color, primed]
+    free_dst = next(v for v in range(len(g.vertices)) if up[v] is None and v != dst)
+    free_src = next(v for v in range(len(g.vertices)) if down[v] is None and v != src)
+    for extra in [(src, dst), (src, free_dst), (free_src, dst)]:
+        obj = json.loads(export_json(g))
+        obj["edges"].append(dict(zip(("src", "dst", "color", "primed"), (*extra, color, primed))))
+        with pytest.raises(ValueError, match=r"edge \(.*\) repeats"):
+            graph_from_json(json.dumps(obj))
+
+
 def test_components_highest_is_lrs(graph_cache):
     g = graph_cache("3,1/1", 3)
     assert sum(len(c) for c in g.components) == len(g.vertices)

@@ -32,8 +32,8 @@ from shifted_crystal import (
     unrectify,
     yamanouchi,
 )
-from shifted_crystal.core import canonicalize_codes
-from shifted_crystal.operators import _place_facts, _two_letter_string
+from shifted_crystal.core import InvariantError, canonicalize_codes
+from shifted_crystal.operators import _arrange, _place_facts, _two_letter_string
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,61 @@ def test_classify_string_examples():
     assert pair.kind == "separated" and pair.size == 2
     big = classify_string(yamanouchi((3, 1)), 1, 2)
     assert big.kind == "separated" and [len(c) for c in big.chains] == [2, 2]
+
+
+def _tableau_string(T, i, n):
+    """The definitional i-string through T: its closure under the four
+    tableau operators of colour i."""
+    members, frontier = {T}, [T]
+    while frontier:
+        U = frontier.pop()
+        for op in (unprimed_lower, unprimed_raise, primed_lower_tableau, primed_raise_tableau):
+            V = op(U, i, n)
+            if V is not None and V not in members:
+                members.add(V)
+                frontier.append(V)
+    return frozenset(members)
+
+
+def test_classify_string_matches_the_tableau_walk():
+    inside_321 = [(SkewShape(lam, mu), 3)
+                  for lam in strict_partitions_inside(StrictPartition((3, 2, 1)))
+                  for mu in strict_partitions_inside(lam)]
+    desk = [(SkewShape.parse(text), n) for text, n in
+            [("2,1", 4), ("3,1", 3), ("3,2", 3), ("4,3,1/3,1", 3), ("5,3,1", 3)]]
+    for shape, n in desk + inside_321:
+        verts = enumerate_tableaux(shape, n)
+        for i in range(1, n):
+            strings = {}
+            for T in verts:
+                d = classify_string(T, i, n)
+                if T in strings:
+                    assert d.members == strings[T]
+                    continue
+                strings.update(dict.fromkeys(d.members, d.members))
+                assert d.members == _tableau_string(T, i, n), (str(shape), i, str(T))
+                # F steps along every chain; F' along a collapsed chain and
+                # across each rung of a separated string
+                for chain in d.chains:
+                    assert [unprimed_lower(U, i, n) for U in chain] == [*chain[1:], None]
+                if d.kind == "collapsed":
+                    (chain,) = d.chains
+                    assert [primed_lower_tableau(U, i, n) for U in chain] == [*chain[1:], None]
+                else:
+                    top, bottom = d.chains
+                    assert [primed_lower_tableau(U, i, n) for U in top] == list(bottom)
+
+
+def test_arrange_refuses_a_map_that_leaves_its_string():
+    one, two_primed = (2,), (3,)  # the words 1 and 2'
+    assert _arrange({one: (None, two_primed), two_primed: (one, None)}) == (
+        "separated", ((one,), (two_primed,)))
+    with pytest.raises(InvariantError, match="leaves the string"):
+        _arrange({one: (None, two_primed)})
+    # a dashed path that closes a cycle is refused, not walked forever
+    a, b, c = (2, 2, 2), (2, 2, 4), (2, 4, 4)
+    with pytest.raises(InvariantError, match="does not cover"):
+        _arrange({a: (None, b), b: (a, c), c: (b, b)})
 
 
 def test_string_partition_of_vertex_set():

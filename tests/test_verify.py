@@ -21,6 +21,7 @@ from shifted_crystal import (
     verify,
 )
 from shifted_crystal.core import InvariantError, Word, canonicalize_codes
+from shifted_crystal.operators import StringDescriptor
 from shifted_crystal.verify import (
     _canonical_words,
     _structure_issues,
@@ -237,6 +238,26 @@ def test_structure_reports_invariant_errors_and_raises_the_rest(monkeypatch):
     monkeypatch.setattr(verify, "classify_string", broken(TypeError("a bug")))
     with pytest.raises(TypeError):
         _structure_issues(g)
+
+
+def test_structure_classifies_each_string_once(monkeypatch):
+    g = build_graph(SkewShape.parse("2,1"), 3)
+    strings = [(i, comp) for i in range(1, g.n) for comp in g.components_in((i,))]
+    assert len(strings) < len(g.vertices) * (g.n - 1)
+
+    def broken(T, i, n):
+        raise InvariantError("bad string")
+
+    monkeypatch.setattr(verify, "classify_string", broken)
+    issues = _structure_issues(g)
+    assert [(x["color"], x["tableau"]) for x in issues] == [
+        (i, str(g.vertices[comp.vertex_ids[0]])) for i, comp in strings]
+    # a string that misses members of its component is reported once too
+    monkeypatch.setattr(verify, "classify_string",
+                        lambda T, i, n: StringDescriptor(i, "collapsed", [[T]]))
+    issues = _structure_issues(g)
+    assert {x["kind"] for x in issues} == {"string_members"}
+    assert len(issues) == sum(1 for _, comp in strings if len(comp) > 1)
 
 
 def test_graph_suites_at_scale_within_budget():
