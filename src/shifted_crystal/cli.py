@@ -118,8 +118,13 @@ def _cmd_verify(args):
             raise ValueError(f"verify {args.suite} does not take --{flag.replace('_', '-')}")
     if args.max_size is not None and args.max_size < 0:
         raise ValueError(f"--max-size must be a non-negative integer, got {args.max_size}")
-    if args.max_report < 0:
-        raise ValueError(f"--max-report must be a non-negative integer, got {args.max_report}")
+    if args.max_report is not None:
+        if args.max_report < 0:
+            raise ValueError(f"--max-report must be a non-negative integer, got {args.max_report}")
+        if args.json:
+            raise ValueError("--max-report limits the text output; --json prints every violation")
+        if args.suite == "all":
+            raise ValueError("verify all prints no violations list, so it takes no --max-report")
     report = SUITES[args.suite](**{taken[flag]: getattr(args, flag) for flag in given})
     if args.json:
         print(json.dumps(report, indent=1))
@@ -128,7 +133,8 @@ def _cmd_verify(args):
         # the "all" report carries its violations in its sub-reports only
         violations = report.get("violations", [])
         if violations:
-            print(json.dumps(violations[: args.max_report], indent=1))
+            limit = 10 if args.max_report is None else args.max_report
+            print(json.dumps(violations[:limit], indent=1))
     return 0 if report["ok"] else 1
 
 
@@ -189,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, dest="max_size",
                    help="size cap: word length for knuth, vertex cap for graphs")
     p.add_argument("--seed", type=int, help="corner-order seed (default 0)")
-    p.add_argument("--max-report", type=int, default=10, dest="max_report",
-                   help="maximum violations to print (text output)")
+    p.add_argument("--max-report", type=int, dest="max_report",
+                   help="maximum violations to print (text output; default 10)")
     p.add_argument("--json", action="store_true",
                    help="print the whole report, sub-reports included, as JSON")
     p.set_defaults(fn=_cmd_verify)

@@ -85,6 +85,12 @@ def letter_str(code: int) -> str:
     return f"{v}'" if code % 2 else str(v)
 
 
+def word_str(codes) -> str:
+    """Letter codes printed as a word, e.g. "2 1 2'"; the codes are printed
+    as given, so a vertex's word is printed without building a Word."""
+    return " ".join(letter_str(x) for x in codes)
+
+
 def parse_letter(token: str) -> int:
     token = token.strip()
     primed = token.endswith("'")
@@ -442,7 +448,7 @@ class Word:
         return self._hash
 
     def __str__(self):
-        return " ".join(letter_str(x) for x in self.codes)
+        return word_str(self.codes)
 
     def __repr__(self):
         return f"Word({str(self)!r}, n={self.n})"
@@ -664,10 +670,8 @@ class ShiftedTableau:
         return self._hash
 
     def __str__(self):
-        return " / ".join(
-            " ".join(letter_str(x) for x in self._row(r))
-            for r in range(1, len(self.shape.outer) + 1)
-        )
+        return " / ".join(word_str(self._row(r))
+                          for r in range(1, len(self.shape.outer) + 1))
 
     def __repr__(self):
         return f"ShiftedTableau({self.shape!r}, {str(self)!r})"

@@ -4,8 +4,11 @@ A graph is built by enumerating the full vertex set first and then computing
 every lowering edge, so connectivity statements stay checkable facts rather
 than assumptions.  Vertex ids index the deterministic enumeration order
 (lexicographic by reading word), which keeps exports byte-stable.  A graph
-holds each edge once per direction, in id lists, and indexes its vertices by
-reading word; one pass, target_ids, finds the F, F' and sigma targets.
+stores its edges only in id lists, once per direction, and indexes its
+vertices by reading word; the sorted edge tuple the exports read is derived
+from the lists on first read.  One pass, target_ids, finds the F, F' and
+sigma targets: build_graph takes the F and F' lists from it, and the braid
+suite, on the edgeless vertex_graph, the sigma lists.
 """
 
 import functools
@@ -22,6 +25,7 @@ from .core import (
     _enumerate,
     enumerate_tableaux,
     shared_shape,
+    word_str,
     write_subword,
 )
 from .involutions import eta_interval
@@ -81,8 +85,11 @@ class CrystalGraph:
     """Vertices with i-colored solid (F_i) and dashed (F'_i) edges.
 
     down[i, primed][v] is the F_i (F'_i if primed) target of vertex v and
-    up[i, primed][v] its source, None where there is no edge; edges is the
-    sorted tuple the exports read, and word_index maps reading words to ids.
+    up[i, primed][v] its source, None where there is no edge; these lists
+    are the only stored form of the edges.  word_index maps reading words
+    to ids.  The constructor takes the edges as (src, dst, colour, primed)
+    tuples; an edge outside the graph, or a second edge of one colour and
+    kind out of or into a vertex, is a ValueError.
     """
 
     def __init__(self, shape: SkewShape, n: int, vertices, edges, colors=None):
@@ -91,27 +98,39 @@ class CrystalGraph:
         self.vertices = tuple(vertices)
         self.colors = tuple(colors) if colors is not None else tuple(range(1, n))
         self.word_index = {T.word_codes: vid for vid, T in enumerate(self.vertices)}
-        self._set_edges(edges)
-
-    def _set_edges(self, edges):
-        """The sorted edge tuple and the id lists.  An edge outside the graph,
-        or a second edge of one colour and kind out of or into a vertex, is a
-        ValueError."""
         size = len(self.vertices)
-        self.edges = tuple(sorted(edges))
         self.down = {(i, primed): [None] * size
-                     for i in range(1, self.n) for primed in (False, True)}
-        self.up = {key: [None] * size for key in self.down}
-        for edge in self.edges:
+                     for i in range(1, n) for primed in (False, True)}
+        for edge in edges:
             src, dst, color, primed = edge
             if not (0 <= src < size and 0 <= dst < size) or (color, primed) not in self.down:
                 raise ValueError(f"edge {edge} lies outside the {size} vertices "
-                                 f"and colours 1..{self.n - 1} of the graph")
-            down, up = self.down[color, primed], self.up[color, primed]
-            if down[src] is not None or up[dst] is not None:
-                kind = "dashed" if primed else "solid"
-                raise ValueError(f"edge {edge} repeats a vertex's {kind} colour-{color} edge")
-            down[src], up[dst] = dst, src
+                                 f"and colours 1..{n - 1} of the graph")
+            down = self.down[color, primed]
+            if down[src] is not None:
+                raise ValueError(_repeats(edge))
+            down[src] = dst
+        self._link()
+
+    def _link(self):
+        """up from down; a second edge of one colour and kind into a vertex
+        is a ValueError."""
+        self.up = {}
+        for (color, primed), down in self.down.items():
+            up = self.up[color, primed] = [None] * len(down)
+            for src, dst in enumerate(down):
+                if dst is not None:
+                    if up[dst] is not None:
+                        raise ValueError(_repeats((src, dst, color, primed)))
+                    up[dst] = src
+
+    @functools.cached_property
+    def edges(self):
+        """Every edge as (src, dst, colour, primed), sorted; derived from
+        the id lists on first read."""
+        return tuple(sorted((src, dst, color, primed)
+                            for (color, primed), down in self.down.items()
+                            for src, dst in enumerate(down) if dst is not None))
 
     def vertex_id(self, T: ShiftedTableau) -> int:
         vid = self.word_index.get(T.word_codes) if T.shape == self.shape else None
@@ -151,7 +170,18 @@ class CrystalGraph:
 
     def __repr__(self):
         return (f"CrystalGraph(shape={self.shape}, n={self.n}, "
-                f"|V|={len(self.vertices)}, |E|={len(self.edges)})")
+                f"|V|={len(self.vertices)}, |E|={_edge_count(self)})")
+
+
+def _repeats(edge) -> str:
+    src, dst, color, primed = edge
+    kind = "dashed" if primed else "solid"
+    return f"edge {edge} repeats a vertex's {kind} colour-{color} edge"
+
+
+def _edge_count(g: CrystalGraph) -> int:
+    """The number of edges, counted on the id lists."""
+    return sum(len(down) - down.count(None) for down in g.down.values())
 
 
 def _vertex_cap(max_vertices):
@@ -167,20 +197,28 @@ def _vertex_cap(max_vertices):
     return source, cap
 
 
-def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGraph:
-    """The full crystal on a shape: all vertices, all lowering edges.
+def vertex_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGraph:
+    """The crystal's vertices on a shape, with no edges.
 
-    Enumeration stops at cap + 1 tableaux, so a refusal costs little.  The
-    edges of colour i are the F_i and F'_i lists of target_ids.
+    Enumeration stops at cap + 1 tableaux, so a refusal costs little.
     """
     source, cap = _vertex_cap(max_vertices)
     vertices = _enumerate(shape, n, cap + 1)
     if len(vertices) > cap:
         raise ValueError(f"more than {cap} vertices; raise {source} to override")
-    g = CrystalGraph(shape, n, vertices, ())
-    g._set_edges((vid, dst, i, primed) for i in range(1, n)
-                 for primed, targets in zip((False, True), target_ids(g, i, "f", "f_prime"))
-                 for vid, dst in enumerate(targets) if dst is not None)
+    return CrystalGraph(shape, n, vertices, ())
+
+
+def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGraph:
+    """The full crystal on a shape: all vertices, all lowering edges.
+
+    The vertices are vertex_graph's; the edges of colour i are the F_i and
+    F'_i lists of target_ids.
+    """
+    g = vertex_graph(shape, n, max_vertices)
+    for i in range(1, n):
+        g.down[i, False], g.down[i, True] = target_ids(g, i, "f", "f_prime")
+    g._link()
     return g
 
 
@@ -213,8 +251,12 @@ def interval_subgraph(g: CrystalGraph, p: int, q: int) -> CrystalGraph:
     """Same vertices, only the edges colored in [p, q-1]."""
     if not 1 <= p < q <= g.n:
         raise ValueError(f"need 1 <= p < q <= n, got ({p}, {q})")
-    edges = [e for e in g.edges if p <= e[2] < q]
-    return CrystalGraph(g.shape, g.n, g.vertices, edges, colors=range(p, q))
+    sub = CrystalGraph(g.shape, g.n, g.vertices, (), colors=range(p, q))
+    for color, primed in sub.down:
+        if p <= color < q:
+            sub.down[color, primed] = g.down[color, primed][:]
+    sub._link()
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +313,7 @@ def cactus_act(g: CrystalGraph, gen, T):
 
 
 def _word_of(g: CrystalGraph, vid: int) -> str:
-    return str(g.vertices[vid].reading_word(g.n))
+    return word_str(g.vertices[vid].word_codes)
 
 
 def _walk_tables(g: CrystalGraph):
@@ -368,7 +410,7 @@ def verify_cactus(g: CrystalGraph) -> dict:
                      [outer[x] for x in inner], [mirrored[x] for x in outer])
     return {
         "graph": {"shape": str(g.shape), "n": g.n,
-                  "vertices": len(g.vertices), "edges": len(g.edges)},
+                  "vertices": len(g.vertices), "edges": _edge_count(g)},
         "checked": checked,
         "anchors": anchors,
         "violations": violations,
@@ -423,7 +465,7 @@ def component_isomorphic_to_straight(g: CrystalGraph, comp: Component) -> bool:
     for v, mv in mapping.items():
         if g.vertices[v].weight(g.n) != model.vertices[mv].weight(g.n):
             raise ValueError("weights disagree under the isomorphism")
-    if comp_edges != len(model.edges):
+    if comp_edges != _edge_count(model):
         raise ValueError("edge counts disagree")
     return True
 
@@ -435,7 +477,7 @@ def export_dot(g: CrystalGraph) -> str:
     """Graphviz source: vertices labeled word\\nweight, dashed primed edges."""
     lines = ["digraph crystal {"]
     for vid, T in enumerate(g.vertices):
-        word = str(T.reading_word(g.n))
+        word = word_str(T.word_codes)
         wt = ",".join(str(x) for x in T.weight(g.n))
         lines.append(f'  v{vid} [label="{word}\\n({wt})"];')
     for src, dst, color, primed in g.edges:
@@ -452,7 +494,7 @@ def export_json(g: CrystalGraph) -> str:
         "shape": str(g.shape),
         "n": g.n,
         "vertices": [
-            {"id": vid, "word": str(T.reading_word(g.n)),
+            {"id": vid, "word": word_str(T.word_codes),
              "weight": list(T.weight(g.n))}
             for vid, T in enumerate(g.vertices)
         ],
@@ -465,12 +507,27 @@ def export_json(g: CrystalGraph) -> str:
 
 
 def graph_from_json(text: str) -> CrystalGraph:
+    """The graph of an export_json text.  Vertex k must carry id k and a
+    reading word no other vertex has, and an edge integer ids and colour
+    and a boolean primed; otherwise it is a ValueError."""
     obj = json.loads(text)
     shape = SkewShape.parse(obj["shape"])
     n = obj["n"]
-    vertices = []
-    for rec in sorted(obj["vertices"], key=lambda r: r["id"]):
-        word = Word.parse(rec["word"], n)
-        vertices.append(ShiftedTableau(shape, word.codes))
-    edges = [(e["src"], e["dst"], e["color"], e["primed"]) for e in obj["edges"]]
+    vertices, words = [], set()
+    for vid, rec in enumerate(obj["vertices"]):
+        if type(rec["id"]) is not int or rec["id"] != vid:
+            raise ValueError(f"vertex id {rec['id']!r} at position {vid}; "
+                             "ids must count up from 0 in order")
+        codes = Word.parse(rec["word"], n).codes
+        if codes in words:
+            raise ValueError(f"vertex {vid} repeats the word {rec['word']!r}")
+        words.add(codes)
+        vertices.append(ShiftedTableau(shape, codes))
+    edges = []
+    for e in obj["edges"]:
+        edge = (e["src"], e["dst"], e["color"], e["primed"])
+        if any(type(x) is not int for x in edge[:3]) or type(edge[3]) is not bool:
+            raise ValueError(f"edge {edge} needs integer src, dst and color "
+                             "and a boolean primed")
+        edges.append(edge)
     return CrystalGraph(shape, n, vertices, edges)

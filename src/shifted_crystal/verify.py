@@ -16,12 +16,14 @@ from .core import (
     enumerate_tableaux,
     strict_partitions_inside,
     strict_partitions_of,
+    word_str,
 )
 from .graph import (
     build_graph,
     lrs_count,
     target_ids,
     verify_cactus,
+    vertex_graph,
 )
 from .jdt import knuth_neighbors, order_dependent, rectify, strip_tableau, yamanouchi
 from .operators import classify_string
@@ -55,10 +57,11 @@ def run_braid(shape="5,3,1", n=3, max_vertices=None) -> dict:
     Each sigma_i is a vertex-id array from graph.target_ids, the pass in
     which build_graph finds the F_i and F'_i edges: the sigma target of each
     vertex's {i, i+1} subword, written back into its reading word and looked
-    up in the graph's word index.  The relation composes arrays.  "checked"
-    counts the (vertex, (i, i+1)) pairs examined.
+    up in the word index of graph.vertex_graph, which has no edges to build.
+    The relation composes arrays.  "checked" counts the (vertex, (i, i+1))
+    pairs examined.
     """
-    g = build_graph(SkewShape.parse(str(shape)), n, max_vertices)
+    g = vertex_graph(SkewShape.parse(str(shape)), n, max_vertices)
     s = {i: target_ids(g, i, "sigma")[0] for i in range(1, n)}
     violations = []
     for vid, T in enumerate(g.vertices):
@@ -68,10 +71,10 @@ def run_braid(shape="5,3,1", n=3, max_vertices=None) -> dict:
             if a != b:
                 violations.append({
                     "witness": vid,
-                    "witness_word": str(T.reading_word(n)),
+                    "witness_word": word_str(T.word_codes),
                     "i": i, "j": j,
-                    "sigma_iji": str(g.vertices[a].reading_word(n)),
-                    "sigma_jij": str(g.vertices[b].reading_word(n)),
+                    "sigma_iji": word_str(g.vertices[a].word_codes),
+                    "sigma_jij": word_str(g.vertices[b].word_codes),
                 })
     ok = not violations
     return {

@@ -188,6 +188,22 @@ def test_verify_rejects_a_negative_max_report(capsys):
         "", "error: --max-report must be a non-negative integer, got -1\n")
 
 
+def test_max_report_limits_the_text_violations_and_is_refused_where_unused(capsys):
+    braid = ["verify", "braid", "--shape", "5,3,1", "--n", "3"]
+    for extra, shown in [([], 10), (["--max-report", "2"], 2), (["--max-report", "0"], 0)]:
+        code, out = run_cli(*braid, *extra)
+        summary, _, listed = out.partition("\n")
+        assert code == 1 and "fail at" in summary
+        assert len(json.loads(listed)) == shown
+    # --json prints every violation, and "all" prints no list: neither reads the flag
+    assert main([*braid, "--json", "--max-report", "2"]) == 2
+    assert main(["verify", "all", "--max-report", "2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --max-report limits the text output; --json prints every violation",
+        "error: verify all prints no violations list, so it takes no --max-report",
+    ]
+
+
 def test_rectify_takes_no_alphabet_bound(tmp_path, capsys):
     f = tmp_path / "t.txt"
     f.write_text("2,1/\n1 1 / 2\n", encoding="utf-8")

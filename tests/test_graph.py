@@ -101,6 +101,20 @@ def test_build_graph_rejects_a_target_outside_the_vertices(monkeypatch):
         build_graph(SkewShape.parse("3,1"), 3)
 
 
+def test_build_graph_refuses_two_edges_into_one_vertex(monkeypatch):
+    real = graph_module._colour_one
+
+    def merged(sub):
+        # every defined F_1 of B((2),2) goes to the word "2 2", so the F
+        # targets of "1 1" and "1 2" coincide
+        record = real(sub)
+        return record._replace(f=(4, 4)) if record.f is not None else record
+
+    monkeypatch.setattr(graph_module, "_colour_one", merged)
+    with pytest.raises(ValueError, match=r"edge \(1, 2, 1, False\) repeats a vertex's solid"):
+        build_graph(SkewShape.parse("2"), 2)
+
+
 def test_id_lists_hold_exactly_the_edges(graph_cache):
     for shape, n in DESK_GRAPHS + [("3,1/1", 3)]:
         g = graph_cache(shape, n)
@@ -144,6 +158,51 @@ def test_graph_from_json_rejects_conflicting_edges(graph_cache):
         obj["edges"].append(dict(zip(("src", "dst", "color", "primed"), (*extra, color, primed))))
         with pytest.raises(ValueError, match=r"edge \(.*\) repeats"):
             graph_from_json(json.dumps(obj))
+
+
+def _edited_export(g, edit):
+    obj = json.loads(export_json(g))
+    edit(obj)
+    return json.dumps(obj)
+
+
+def test_graph_from_json_refuses_ids_that_are_not_positions(graph_cache):
+    g = graph_cache("2,1", 3)
+
+    def shift(obj):
+        for rec in obj["vertices"]:
+            rec["id"] += 10
+
+    def swap(obj):
+        first, second = obj["vertices"][:2]
+        first["id"], second["id"] = second["id"], first["id"]
+
+    for edit, bad in [(shift, "10"), (swap, "1")]:
+        with pytest.raises(ValueError, match=f"vertex id {bad} at position 0"):
+            graph_from_json(_edited_export(g, edit))
+
+
+def test_graph_from_json_refuses_a_repeated_word(graph_cache):
+    g = graph_cache("2,1", 3)
+
+    def repeat(obj):
+        obj["vertices"][1]["word"] = obj["vertices"][0]["word"]
+
+    word = json.loads(export_json(g))["vertices"][0]["word"]
+    with pytest.raises(ValueError, match=f"vertex 1 repeats the word '{word}'"):
+        graph_from_json(_edited_export(g, repeat))
+
+
+@pytest.mark.parametrize("field, value", [("primed", 0), ("primed", 1), ("primed", "true"),
+                                          ("src", 0.0), ("color", True)])
+def test_graph_from_json_refuses_an_edge_field_of_the_wrong_type(graph_cache, field, value):
+    g = graph_cache("2,1", 3)
+
+    def retype(obj):
+        obj["edges"][0][field] = value
+
+    with pytest.raises(ValueError, match="integer src, dst and color and a boolean primed"):
+        graph_from_json(_edited_export(g, retype))
 
 
 def test_components_highest_is_lrs(graph_cache):

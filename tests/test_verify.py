@@ -70,6 +70,37 @@ def test_run_braid_matches_the_per_tableau_composition():
     assert want and run_braid("5,3,1", n)["violations"] == want
 
 
+def test_run_braid_over_the_cap_names_the_setting(monkeypatch):
+    with pytest.raises(ValueError, match="more than 10 vertices; raise max_vertices to override"):
+        run_braid("5,3,1", 3, max_vertices=10)
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "10")
+    with pytest.raises(ValueError, match="raise SHIFTED_CRYSTAL_MAX_VERTICES to override"):
+        run_braid("5,3,1", 3)
+
+
+def test_suites_leave_the_edge_tuple_underived(monkeypatch):
+    g = build_graph(SkewShape.parse("3,1"), 3)
+    assert graph.verify_cactus(g)["graph"]["edges"] == graph._edge_count(g) > 0
+    assert _structure_issues(g) == []
+    assert "edges" not in g.__dict__
+    graphs = []
+
+    def kept(build):
+        def wrapped(*args):
+            graphs.append(build(*args))
+            return graphs[-1]
+        return wrapped
+
+    monkeypatch.setattr(verify, "build_graph", kept(verify.build_graph))
+    monkeypatch.setattr(verify, "vertex_graph", kept(verify.vertex_graph))
+    assert run_cactus("2,1", 3)["ok"]
+    assert run_structure(bound="2,1", n=2, extra=())["ok"]
+    assert not run_braid("5,3,1", 3)["ok"]
+    assert len(graphs) > 2 and all("edges" not in h.__dict__ for h in graphs)
+    # the braid search runs on the vertices alone
+    assert graph._edge_count(graphs[-1]) == 0
+
+
 def test_run_braid_raises_when_sigma_leaves_the_graph(monkeypatch):
     # an all-primed word is never canonical, so never a vertex's word
     # the sigma lookup is graph.target_ids, which reads graph._colour_one
