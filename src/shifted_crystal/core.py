@@ -19,7 +19,11 @@ destandardize_codes for it.
 Shapes that the library builds itself come from shared_shape, a bounded
 cache holding one SkewShape per (outer, inner) pair of part tuples; the
 SkewShape constructor still builds a fresh one.  Enumerations are not
-cached, and build_graph stops its enumeration at cap + 1 tableaux.
+cached, and build_graph stops its enumeration at cap + 1 tableaux.  The
+enumerator tests each letter against its west and south neighbours only:
+rows and columns of a shifted skew shape are contiguous and weakly
+increasing, so a second v' in a row, or a second unprimed v in a column,
+would sit next to the first.
 
 Operators on the letters [p, q]' see only the interval subword: those
 letters in reading order, shifted down to [1, q - p + 1]'
@@ -31,7 +35,6 @@ first letter of each value stays first.
 """
 
 import functools
-from collections import Counter
 
 __all__ = [
     "InvariantError",
@@ -497,15 +500,14 @@ class ShiftedTableau:
 
     __slots__ = ("shape", "word_codes", "_hash")
 
-    def __init__(self, shape: SkewShape, word, validate: bool = True):
+    def __init__(self, shape: SkewShape, word):
         word = tuple(word)
         if len(word) != shape.size:
             raise ValueError("word length does not match shape size")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "word_codes", word)
         object.__setattr__(self, "_hash", hash((shape, word)))
-        if validate:
-            self.check()
+        self.check()
 
     def __setattr__(self, name, value):
         raise AttributeError("ShiftedTableau is immutable")
@@ -575,7 +577,14 @@ class ShiftedTableau:
         return Word(self.word_codes, n)
 
     def weight(self, n=None) -> tuple:
-        return self.reading_word(n).weight()
+        """Letters of each value 1..n; n defaults to the largest value."""
+        top = (max(self.word_codes, default=0) + 1) // 2
+        if n is not None and top > n:
+            raise ValueError(f"letter value {top} out of range for n={n}")
+        counts = [0] * (top if n is None else n)
+        for x in self.word_codes:
+            counts[(x - 1) // 2] += 1
+        return tuple(counts)
 
     @property
     def size(self) -> int:
@@ -683,56 +692,62 @@ EMPTY_TABLEAU = ShiftedTableau(EMPTY_SHAPE, ())
 # ---------------------------------------------------------------------------
 # Enumeration
 
+def _leaf(shape, word, new=object.__new__, set_shape=ShiftedTableau.shape.__set__,
+          set_word=ShiftedTableau.word_codes.__set__, set_hash=ShiftedTableau._hash.__set__):
+    """ShiftedTableau(shape, word) unchecked, for fillings valid by construction."""
+    T = new(ShiftedTableau)
+    set_shape(T, shape)
+    set_word(T, word)
+    set_hash(T, hash((shape, word)))
+    return T
+
+
 def _enumerate(shape: SkewShape, n: int, limit: int = None) -> tuple:
     """enumerate_tableaux(shape, n), or its first limit tableaux when limit
-    (at least 1) is given: the search unwinds once it has that many."""
+    (at least 1) is given: the search unwinds once it has that many.
+
+    Code x fits when west <= x <= south (both read before it), a primed x
+    differs from west and its value is already placed unprimed, and an
+    unprimed x differs from south: exact, by the module docstring.
+    """
     if n < 0:
         raise ValueError("alphabet bound must be non-negative")
     shape = shared_shape(shape.outer.parts, shape.inner.parts)
     cells = shape.cells_reading
     if not cells:
         return (ShiftedTableau(shape, ()),)
-    # reading positions of the west and south neighbours, both read earlier;
-    # the south neighbour is the cell whose north neighbour this one is
+    # reading positions of the west and south neighbours, both read earlier
     west_of = shape.west
     below_of = [None] * len(cells)
     for k, north in enumerate(shape.north):
         if north is not None:
             below_of[north] = k
+    last, top = len(cells) - 1, 2 * n
     results = []
     word = [0] * len(cells)
-    value_seen = Counter()
-    row_primed = set()
-    col_unprimed = set()
+    placed = [0] * (top + 1)  # letters placed, by code: placed[2v] counts unprimed v
 
     def place(idx):
-        if idx == len(cells):
-            results.append(ShiftedTableau(shape, word, validate=False))
-            return len(results) != limit  # False unwinds the whole search
-        r, c = cells[idx]
         west, below = west_of[idx], below_of[idx]
-        lo = word[west] if west is not None else 1
-        hi = word[below] if below is not None else 2 * n
-        for code in range(lo, hi + 1):
-            v = (code + 1) // 2
-            if v > n:
-                break
+        w = word[west] if west is not None else 0
+        s = word[below] if below is not None else 0
+        prefix = tuple(word[:last]) if idx == last else None
+        for code in range(w or 1, (s or top) + 1):
             if code % 2:
-                if not value_seen[v] or (r, v) in row_primed:
+                if code == w or not placed[code + 1]:
                     continue
-                mark = (r, v)
-                row_primed.add(mark)
+            elif code == s:
+                continue
+            if prefix is not None:
+                results.append(_leaf(shape, prefix + (code,)))
+                if len(results) == limit:
+                    return False  # unwinds the whole search
             else:
-                if (c, v) in col_unprimed:
-                    continue
-                mark = (c, v)
-                col_unprimed.add(mark)
-            word[idx] = code
-            value_seen[v] += 1
-            if not place(idx + 1):
-                return False
-            value_seen[v] -= 1
-            (row_primed if code % 2 else col_unprimed).discard(mark)
+                word[idx] = code
+                placed[code] += 1
+                if not place(idx + 1):
+                    return False
+                placed[code] -= 1
         return True
 
     place(0)

@@ -1,6 +1,7 @@
 """Partitions, shapes, words, tableaux, enumeration, restriction, splicing."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -289,6 +290,115 @@ def test_early_stop_is_a_prefix_of_the_enumeration():
                 full = enumerate_tableaux(shape, n)
                 for k in {1, 2, 7, len(full), len(full) + 1} - {0}:
                     assert _enumerate(shape, n, k) == full[:k], (shape, n, k)
+
+
+def _set_based_enumeration(shape, n, limit=None):
+    """The oracle for _enumerate: a recursion that marks the values seen in
+    a Counter, and the primed letters of each row and the unprimed letters
+    of each column in sets, and builds every leaf through the checked
+    constructor."""
+    cells = shape.cells_reading
+    if not cells:
+        return (ShiftedTableau(shape, ()),)
+    west_of = shape.west
+    below_of = [None] * len(cells)
+    for k, north in enumerate(shape.north):
+        if north is not None:
+            below_of[north] = k
+    results = []
+    word = [0] * len(cells)
+    value_seen = Counter()
+    row_primed = set()
+    col_unprimed = set()
+
+    def place(idx):
+        if idx == len(cells):
+            results.append(ShiftedTableau(shape, word))
+            return len(results) != limit
+        r, c = cells[idx]
+        west, below = west_of[idx], below_of[idx]
+        lo = word[west] if west is not None else 1
+        hi = word[below] if below is not None else 2 * n
+        for code in range(lo, hi + 1):
+            v = (code + 1) // 2
+            if v > n:
+                break
+            if code % 2:
+                if not value_seen[v] or (r, v) in row_primed:
+                    continue
+                mark = (r, v)
+                row_primed.add(mark)
+            else:
+                if (c, v) in col_unprimed:
+                    continue
+                mark = (c, v)
+                col_unprimed.add(mark)
+            word[idx] = code
+            value_seen[v] += 1
+            if not place(idx + 1):
+                return False
+            value_seen[v] -= 1
+            (row_primed if code % 2 else col_unprimed).discard(mark)
+        return True
+
+    place(0)
+    return tuple(results)
+
+
+def _skew_shapes_inside(bound):
+    for lam in strict_partitions_inside(bound):
+        for mu in strict_partitions_inside(lam):
+            yield SkewShape(lam, mu)
+
+
+def test_enumerate_matches_brute_force():
+    # every filling over [n]' that the checked constructor accepts
+    for shape in _skew_shapes_inside((4, 3, 2, 1)):
+        if shape.size > 5:
+            continue
+        for n in range(4):
+            found = []
+            for word in itertools.product(range(1, 2 * n + 1), repeat=shape.size):
+                try:
+                    found.append(ShiftedTableau(shape, word))
+                except ValueError:
+                    pass
+            found.sort(key=lambda T: T.word_codes)
+            assert enumerate_tableaux(shape, n) == tuple(found), (shape, n)
+
+
+def test_enumerate_matches_the_set_based_recursion():
+    for shape in _skew_shapes_inside((5, 4, 3, 2, 1)):
+        for n in range(4):
+            full = _set_based_enumeration(shape, n)
+            assert enumerate_tableaux(shape, n) == full, (shape, n)
+            for k in (1, 7, len(full) + 1):
+                expected = _set_based_enumeration(shape, n, k)
+                assert expected == full[:k]
+                assert _enumerate(shape, n, k) == expected, (shape, n, k)
+
+
+def test_enumerate_pinned_counts():
+    assert len(enumerate_tableaux(SkewShape.parse("6,4,1/3,1"), 4)) == 2580
+    assert len(enumerate_tableaux(SkewShape.parse("6,4,2"), 5)) == 24880
+
+
+def test_enumerated_leaves_equal_checked_tableaux():
+    shape = SkewShape.parse("4,2/1")
+    shared = shared_shape(shape.outer.parts, shape.inner.parts)
+    leaves = enumerate_tableaux(shape, 3)
+    assert leaves
+    for T in leaves:
+        assert T.shape is shared
+        checked = ShiftedTableau(shape, T.word_codes)
+        assert checked == T and hash(checked) == hash(T)
+
+
+def test_tableau_constructor_always_checks():
+    with pytest.raises(TypeError):
+        ShiftedTableau(SkewShape.parse("2"), (4, 2), validate=False)
+    with pytest.raises(ValueError):
+        ShiftedTableau(SkewShape.parse("2"), (4, 2))
 
 
 def test_restrict_examples():

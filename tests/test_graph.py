@@ -9,6 +9,7 @@ from shifted_crystal import (
     ShiftedTableau,
     SkewShape,
     StrictPartition,
+    Word,
     build_graph,
     cactus_act,
     cactus_generators,
@@ -26,6 +27,7 @@ from shifted_crystal import (
     verify_cactus,
     yamanouchi,
 )
+from shifted_crystal import core as core_module
 from shifted_crystal import graph as graph_module
 from shifted_crystal.core import InvariantError
 from shifted_crystal.graph import _walk_tables
@@ -68,15 +70,22 @@ def test_vertex_cap():
 
 
 def test_refused_graph_builds_at_most_cap_plus_one_tableaux(monkeypatch):
-    # B((7,5,3,1),5) has 153 600 vertices; the refusal must not enumerate them
+    # B((7,5,3,1),5) has 153 600 vertices; the refusal must not enumerate them.
+    # The enumerator builds its tableaux through core._leaf, the rest through
+    # the constructor: both are counted.
     built = [0]
-    original = ShiftedTableau.__init__
+    original, leaf = ShiftedTableau.__init__, core_module._leaf
 
     def counted(self, *args, **kwargs):
         built[0] += 1
         original(self, *args, **kwargs)
 
+    def counted_leaf(*args):
+        built[0] += 1
+        return leaf(*args)
+
     monkeypatch.setattr(ShiftedTableau, "__init__", counted)
+    monkeypatch.setattr(core_module, "_leaf", counted_leaf)
     with pytest.raises(ValueError, match="more than 1000 vertices"):
         build_graph(SkewShape.parse("7,5,3,1"), 5, max_vertices=1000)
     assert 0 < built[0] <= 1001
@@ -421,3 +430,41 @@ def test_export_json_roundtrip_and_determinism(graph_cache):
     rebuilt = build_graph(SkewShape.parse("2,1"), 4)
     assert export_json(rebuilt) == text
     assert export_dot(rebuilt) == export_dot(g)
+
+
+def _json_dumps_export(g):
+    """The oracle: the export as json.dumps lays it out."""
+    obj = {
+        "shape": str(g.shape),
+        "n": g.n,
+        "vertices": [{"id": vid, "word": str(T.reading_word(g.n)),
+                      "weight": list(T.weight(g.n))}
+                     for vid, T in enumerate(g.vertices)],
+        "edges": [{"src": src, "dst": dst, "color": color, "primed": primed}
+                  for src, dst, color, primed in g.edges],
+    }
+    return json.dumps(obj, indent=1) + "\n"
+
+
+def test_export_json_matches_json_dumps(graph_cache):
+    graphs = [graph_cache(shape, n) for shape, n in DESK_GRAPHS]
+    graphs += [build_graph(SkewShape.parse("3"), 1),     # no edges
+               build_graph(SkewShape.parse("2,1"), 1)]   # no vertices
+    assert not graphs[-2].edges and not graphs[-1].vertices
+    for g in graphs:
+        text = export_json(g)
+        assert text == _json_dumps_export(g), g
+        back = graph_from_json(text)
+        assert back.vertices == g.vertices and back.edges == g.edges
+        assert export_json(back) == text
+
+
+def test_weight_counts_the_word_letters(graph_cache):
+    for shape, n in DESK_GRAPHS:
+        for T in graph_cache(shape, n).vertices:
+            assert T.weight(n) == Word(T.word_codes, n).weight()
+            assert T.weight() == Word(T.word_codes).weight()
+    T = ShiftedTableau.parse("2,1", "1 2 / 3")
+    for make in (lambda: T.weight(2), lambda: Word(T.word_codes, 2).weight()):
+        with pytest.raises(ValueError, match=r"^letter value 3 out of range for n=2$"):
+            make()
