@@ -12,7 +12,6 @@ from .core import (
     canonicalize,
     enumerate_tableaux,
     letter,
-    splice,
     strict_partitions_inside,
     strict_partitions_of,
 )
@@ -20,11 +19,9 @@ from .jdt import (
     SlideRecord,
     inner_slide,
     is_lrs,
-    knuth_equivalent,
     knuth_neighbors,
     outer_slide,
     rectify,
-    rectify_word,
     replay,
     unrectify,
     yamanouchi,
@@ -60,7 +57,6 @@ from .graph import (
     build_graph,
     cactus_act,
     cactus_generators,
-    component_isomorphic_to_straight,
     export_dot,
     export_json,
     graph_from_json,

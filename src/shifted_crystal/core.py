@@ -20,10 +20,10 @@ Shapes that the library builds itself come from shared_shape, a bounded
 cache holding one SkewShape per (outer, inner) pair of part tuples; the
 SkewShape constructor still builds a fresh one.  Enumerations are not
 cached, and build_graph stops its enumeration at cap + 1 tableaux.  The
-enumerator tests each letter against its west and south neighbours only:
-rows and columns of a shifted skew shape are contiguous and weakly
-increasing, so a second v' in a row, or a second unprimed v in a column,
-would sit next to the first.
+enumerator and ShiftedTableau.check test each letter against the neighbours
+in its row and column only: rows and columns of a shifted skew shape are
+contiguous and weakly increasing, so a second v' in a row, or a second
+unprimed v in a column, would sit next to the first.
 
 Operators on the letters [p, q]' see only the interval subword: those
 letters in reading order, shifted down to [1, q - p + 1]'
@@ -55,7 +55,6 @@ __all__ = [
     "ShiftedTableau",
     "EMPTY_TABLEAU",
     "enumerate_tableaux",
-    "splice",
     "strict_partitions_of",
     "strict_partitions_inside",
 ]
@@ -535,26 +534,23 @@ class ShiftedTableau:
     # -- invariants ----------------------------------------------------------
 
     def check(self):
+        """Semistandard and canonical, else ValueError; each letter is
+        compared with its west and north neighbours only (module docstring)."""
         word = self.word_codes
         shape = self.shape
-        rows_primed = set()
-        cols_unprimed = set()
         for (r, c), x, west, north in zip(shape.cells_reading, word, shape.west, shape.north):
             if x < 1:
                 raise ValueError(f"bad letter code {x}")
-            if west is not None and word[west] > x:
-                raise ValueError(f"row {r} decreasing at column {c}")
-            if north is not None and word[north] > x:
-                raise ValueError(f"column {c} decreasing at row {r}")
-            v = (x + 1) // 2
-            if x % 2:
-                if (r, v) in rows_primed:
-                    raise ValueError(f"two {v}' in row {r}")
-                rows_primed.add((r, v))
-            else:
-                if (c, v) in cols_unprimed:
-                    raise ValueError(f"two unprimed {v} in column {c}")
-                cols_unprimed.add((c, v))
+            if west is not None and word[west] >= x:
+                if word[west] > x:
+                    raise ValueError(f"row {r} decreasing at column {c}")
+                if x % 2:
+                    raise ValueError(f"two {(x + 1) // 2}' in row {r}")
+            if north is not None and word[north] >= x:
+                if word[north] > x:
+                    raise ValueError(f"column {c} decreasing at row {r}")
+                if not x % 2:
+                    raise ValueError(f"two unprimed {x // 2} in column {c}")
         if word != canonicalize_codes(word):
             raise ValueError("reading word is not in canonical form")
         return self
@@ -593,7 +589,7 @@ class ShiftedTableau:
     def max_value(self) -> int:
         return max((letter_value(x) for x in self.word_codes), default=0)
 
-    # -- interval restriction and relabelling --------------------------------
+    # -- interval restriction ------------------------------------------------
 
     def value_boundary(self, v: int) -> StrictPartition:
         """Outer boundary of the sub-shape holding letters of value <= v."""
@@ -628,15 +624,6 @@ class ShiftedTableau:
         if shape.cells_reading != tuple(cells):
             raise InvariantError("interval restriction does not match its boundary")
         return ShiftedTableau(shape, canonicalize_codes(codes))
-
-    def relabel(self, shift: int) -> "ShiftedTableau":
-        """Shift every letter value by a constant, keeping primes."""
-        if shift == 0:
-            return self
-        codes = tuple(x + 2 * shift for x in self.word_codes)
-        if any(x < 1 for x in codes):
-            raise ValueError("relabel would produce non-positive values")
-        return ShiftedTableau(self.shape, codes)
 
     def interval_subword(self, p: int, q: int, n: int) -> tuple:
         """The letters of value in [p, q] in reading order, as codes shifted
@@ -762,58 +749,3 @@ def enumerate_tableaux(shape: SkewShape, n: int) -> tuple:
     """
     return _enumerate(shape, n)
 
-
-# ---------------------------------------------------------------------------
-# Splicing
-
-def _shape_from_cells(cells):
-    """Reconstruct a skew shape from a bare cell set.
-
-    Rows without cells are interpolated minimally; callers that care about
-    empty-row bookkeeping should pass the target shape to splice instead.
-    """
-    if not cells:
-        return EMPTY_SHAPE
-    by_row = {}
-    for (r, c) in cells:
-        by_row.setdefault(r, []).append(c)
-    nrows = max(by_row)
-    outer = [0] * nrows
-    inner = [0] * nrows
-    for r in range(nrows, 0, -1):
-        if r in by_row:
-            cs = sorted(by_row[r])
-            if cs != list(range(cs[0], cs[-1] + 1)):
-                raise ValueError(f"cells of row {r} are not contiguous")
-            inner[r - 1] = cs[0] - r
-            outer[r - 1] = cs[-1] - r + 1
-        else:
-            below = max(outer[r], inner[r]) if r < nrows else 0
-            inner[r - 1] = outer[r - 1] = below + 1
-    return SkewShape(StrictPartition(outer), StrictPartition(inner))
-
-
-def splice(parts, shape: SkewShape = None) -> ShiftedTableau:
-    """Union of tableaux on disjoint cell sets, re-canonicalized.
-
-    The parts must occupy pairwise disjoint cells whose union is a valid
-    skew shifted shape; semistandardness across the seams is enforced.
-    """
-    filled = [pair for part in parts
-              for pair in zip(part.shape.cells_reading, part.word_codes)]
-    if shape is None:
-        shape = _shape_from_cells({cell for cell, _ in filled})
-    codes = [0] * shape.size
-    for cell, x in filled:
-        k = shape.position.get(cell)
-        if k is None:
-            raise ValueError("spliced cells do not cover the requested shape")
-        if codes[k]:
-            raise ValueError(f"overlapping cell {cell} in splice")
-        codes[k] = x
-    if len(filled) != shape.size:
-        raise ValueError("spliced cells do not cover the requested shape")
-    try:
-        return ShiftedTableau(shape, canonicalize_codes(codes))
-    except ValueError as exc:
-        raise ValueError(f"splice produced a non-semistandard filling: {exc}") from exc

@@ -29,7 +29,7 @@ from .core import (
     write_subword,
 )
 from .involutions import eta_interval
-from .jdt import is_lrs, yamanouchi
+from .jdt import is_lrs
 from .operators import _colour_one
 from .operators import unprimed_lower  # noqa: F401 (bound for perfbench/test_harness.py)
 
@@ -43,7 +43,6 @@ __all__ = [
     "cactus_act",
     "cactus_generators",
     "verify_cactus",
-    "component_isomorphic_to_straight",
     "export_dot",
     "export_json",
     "graph_from_json",
@@ -416,58 +415,6 @@ def verify_cactus(g: CrystalGraph) -> dict:
         "violations": violations,
         "ok": not violations,
     }
-
-
-# ---------------------------------------------------------------------------
-# Rooted isomorphism with the straight crystal (highest weight route)
-
-def component_isomorphic_to_straight(g: CrystalGraph, comp: Component) -> bool:
-    """Match a component against the straight crystal of its highest weight.
-
-    The unique highest weight vertex is mapped to the Yamanouchi tableau and
-    the map is propagated along equal colored edges; any mismatch in edges,
-    weights, or bijectivity raises ValueError.
-    """
-    high = comp.highest
-    wt = g.vertices[high].weight(g.n)
-    nu = StrictPartition(tuple(p for p in wt if p))
-    if tuple(nu.parts) != tuple(p for p in wt if p) or len(nu) != sum(1 for p in wt if p):
-        raise ValueError(f"highest weight {wt} is not a strict partition")
-    model = build_graph(SkewShape(nu), g.n)
-    y_id = model.vertex_id(yamanouchi(nu))
-    comp_ids = set(comp.vertex_ids)
-    mapping = {high: y_id}
-    stack = [high]
-    comp_edges = 0
-    while stack:
-        v = stack.pop()
-        for color in g.colors:
-            for primed in (False, True):
-                u = g.down[color, primed][v]
-                mu_ = model.down[color, primed][mapping[v]]
-                if u is None:
-                    if mu_ is not None:
-                        raise ValueError("model has an edge the component lacks")
-                    continue
-                comp_edges += 1
-                if mu_ is None:
-                    raise ValueError("component has an edge the model lacks")
-                if u in mapping:
-                    if mapping[u] != mu_:
-                        raise ValueError("edge maps disagree")
-                else:
-                    mapping[u] = mu_
-                    stack.append(u)
-                    if u not in comp_ids:
-                        raise ValueError("edge leaves the component")
-    if len(mapping) != len(comp.vertex_ids) or len(set(mapping.values())) != len(model.vertices):
-        raise ValueError("component and model are not in bijection")
-    for v, mv in mapping.items():
-        if g.vertices[v].weight(g.n) != model.vertices[mv].weight(g.n):
-            raise ValueError("weights disagree under the isomorphism")
-    if comp_edges != _edge_count(model):
-        raise ValueError("edge counts disagree")
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .core import (
     SkewShape,
     StrictPartition,
     Word,
-    canonicalize_codes,
     destandardize_codes,
     letter,
     letter_value,
@@ -59,11 +58,9 @@ __all__ = [
     "replay",
     "order_dependent",
     "strip_tableau",
-    "rectify_word",
     "yamanouchi",
     "is_lrs",
     "knuth_neighbors",
-    "knuth_equivalent",
 ]
 
 
@@ -440,15 +437,6 @@ def strip_tableau(w: Word) -> ShiftedTableau:
     return ShiftedTableau(shared_shape(tuple(outer), tuple(inner[:-1])), w.codes)
 
 
-def rectify_word(w: Word) -> Word:
-    """Reading word of the rectification of any tableau with reading word w.
-
-    Rectified on strip_tableau(w); any other tableau with the same reading
-    word gives the same answer.
-    """
-    return rectify(strip_tableau(w))[0].reading_word(w.n)
-
-
 # ---------------------------------------------------------------------------
 # Yamanouchi and ballot tests
 
@@ -471,7 +459,7 @@ def is_lrs(T: ShiftedTableau) -> bool:
 def _swap(codes, i, j):
     lst = list(codes)
     lst[i], lst[j] = lst[j], lst[i]
-    return canonicalize_codes(lst)
+    return tuple(lst)
 
 
 def knuth_neighbors(w: Word) -> frozenset:
@@ -479,7 +467,8 @@ def knuth_neighbors(w: Word) -> frozenset:
 
     Triple moves compare letters through the standardization; the first-two
     moves swap the leading letters or toggle the prime of the second letter
-    when it repeats the first value.  Outputs are canonicalized.
+    when it repeats the first value.  Each move gives raw codes, which are
+    canonicalized once, as Words.
     """
     codes = w.codes
     L = len(codes)
@@ -496,34 +485,7 @@ def knuth_neighbors(w: Word) -> frozenset:
         if letter_value(codes[0]) == letter_value(codes[1]):
             toggled = list(codes)
             toggled[1] += 1 if toggled[1] % 2 else -1
-            results.add(canonicalize_codes(toggled))
-    results.discard(codes)
-    return frozenset(Word(c, w.n) for c in results)
-
-
-def knuth_equivalent(w: Word, v: Word, max_len: int = 8) -> bool:
-    """Connectivity of w and v under the Knuth moves (bidirectional BFS)."""
-    if len(w) > max_len or len(v) > max_len:
-        raise ValueError(f"word length exceeds the Knuth search cap {max_len}")
-    if w.n != v.n:
-        v = v.with_n(w.n)
-    if w == v:
-        return True
-    if len(w) != len(v) or w.weight() != v.weight():
-        return False
-    seen_a, seen_b = {w}, {v}
-    front_a, front_b = {w}, {v}
-    while front_a and front_b:
-        if len(front_a) > len(front_b):
-            seen_a, seen_b = seen_b, seen_a
-            front_a, front_b = front_b, front_a
-        nxt = set()
-        for word in front_a:
-            for u in knuth_neighbors(word):
-                if u in seen_b:
-                    return True
-                if u not in seen_a:
-                    seen_a.add(u)
-                    nxt.add(u)
-        front_a = nxt
-    return False
+            results.add(tuple(toggled))
+    neighbours = {Word(c, w.n) for c in results}
+    neighbours.discard(w)
+    return frozenset(neighbours)

@@ -1,0 +1,162 @@
+"""Definitional paths the library no longer runs, kept for the tests to
+compare against.  The piece route (on_piece) is the paper's definition of
+F_i, E_i, sigma_i and eta_{p,q} on the letters [p, q]'; the library acts on
+the interval subword instead."""
+
+from shifted_crystal import (
+    ShiftedTableau,
+    SkewShape,
+    StrictPartition,
+    build_graph,
+    knuth_neighbors,
+    rectify,
+    unrectify,
+    yamanouchi,
+)
+from shifted_crystal.core import canonicalize_codes
+from shifted_crystal.graph import _edge_count
+from shifted_crystal.operators import _place_facts
+
+# knuth_equivalent's search grows fast with the word length
+KNUTH_MAX_LEN = 8
+
+
+def relabel(T: ShiftedTableau, shift: int) -> ShiftedTableau:
+    """T with every letter value shifted by a constant, keeping primes."""
+    codes = tuple(x + 2 * shift for x in T.word_codes)
+    if any(x < 1 for x in codes):
+        raise ValueError("relabel would produce non-positive values")
+    return ShiftedTableau(T.shape, codes)
+
+
+def splice(parts, shape: SkewShape) -> ShiftedTableau:
+    """Union of tableaux on disjoint cell sets, re-canonicalized.
+
+    The parts must occupy pairwise disjoint cells whose union is exactly
+    the shape; semistandardness across the seams is enforced.
+    """
+    codes = [0] * shape.size
+    for part in parts:
+        for cell, x in zip(part.shape.cells_reading, part.word_codes):
+            k = shape.position.get(cell)
+            if k is None or codes[k]:
+                raise ValueError(f"cell {cell} lies outside {shape} or in two parts")
+            codes[k] = x
+    if 0 in codes:
+        raise ValueError("spliced cells do not cover the requested shape")
+    try:
+        return ShiftedTableau(shape, canonicalize_codes(codes))
+    except ValueError as exc:
+        raise ValueError(f"splice produced a non-semistandard filling: {exc}") from exc
+
+
+def on_piece(T, p, q, n, act):
+    """The piece route: act on T's [p, q] piece, shifted down to start at 1,
+    and splice the answer back; None passes through."""
+    assert T.max_value() <= n
+    piece = relabel(T.restrict(p, q), 1 - p)
+    out = act(piece)
+    if out is None:
+        return None
+    assert out.shape == piece.shape
+    return splice([T.restrict(1, p - 1), relabel(out, p - 1), T.restrict(q + 1, n)], T.shape)
+
+
+def string_step(fact):
+    """An act for on_piece: F (0), E (1) or sigma (2) of a piece over
+    [1, 2]', read off its rectification's place in its two-letter string."""
+    def act(piece):
+        R, record = rectify(piece)
+        target = _place_facts(R)[fact]
+        return None if target is None else unrectify(target, record)
+    return act
+
+
+def knuth_equivalent(w, v) -> bool:
+    """Connectivity of the Words w and v under the Knuth moves
+    (bidirectional search); longer than KNUTH_MAX_LEN is a ValueError."""
+    if len(w) > KNUTH_MAX_LEN or len(v) > KNUTH_MAX_LEN:
+        raise ValueError(f"word length exceeds the Knuth search cap {KNUTH_MAX_LEN}")
+    if w.n != v.n:
+        v = v.with_n(w.n)
+    if w == v:
+        return True
+    if len(w) != len(v) or w.weight() != v.weight():
+        return False
+    seen_a, seen_b = {w}, {v}
+    front_a, front_b = {w}, {v}
+    while front_a and front_b:
+        if len(front_a) > len(front_b):
+            seen_a, seen_b = seen_b, seen_a
+            front_a, front_b = front_b, front_a
+        nxt = set()
+        for word in front_a:
+            for u in knuth_neighbors(word):
+                if u in seen_b:
+                    return True
+                if u not in seen_a:
+                    seen_a.add(u)
+                    nxt.add(u)
+        front_a = nxt
+    return False
+
+
+def component_isomorphic_to_straight(g, comp) -> bool:
+    """Match a component against the straight crystal of its highest weight.
+
+    The unique highest weight vertex is mapped to the Yamanouchi tableau and
+    the map is propagated along equal colored edges; any mismatch in edges,
+    weights, or bijectivity raises ValueError.
+    """
+    high = comp.highest
+    # a highest weight that is not a strict partition is a ValueError here
+    nu = StrictPartition(p for p in g.vertices[high].weight(g.n) if p)
+    model = build_graph(SkewShape(nu), g.n)
+    y_id = model.vertex_id(yamanouchi(nu))
+    comp_ids = set(comp.vertex_ids)
+    mapping = {high: y_id}
+    stack = [high]
+    comp_edges = 0
+    while stack:
+        v = stack.pop()
+        for color in g.colors:
+            for primed in (False, True):
+                u = g.down[color, primed][v]
+                mu_ = model.down[color, primed][mapping[v]]
+                if u is None:
+                    if mu_ is not None:
+                        raise ValueError("model has an edge the component lacks")
+                    continue
+                comp_edges += 1
+                if mu_ is None:
+                    raise ValueError("component has an edge the model lacks")
+                if u in mapping:
+                    if mapping[u] != mu_:
+                        raise ValueError("edge maps disagree")
+                else:
+                    mapping[u] = mu_
+                    stack.append(u)
+                    if u not in comp_ids:
+                        raise ValueError("edge leaves the component")
+    if len(mapping) != len(comp.vertex_ids) or len(set(mapping.values())) != len(model.vertices):
+        raise ValueError("component and model are not in bijection")
+    for v, mv in mapping.items():
+        if g.vertices[v].weight(g.n) != model.vertices[mv].weight(g.n):
+            raise ValueError("weights disagree under the isomorphism")
+    if comp_edges != _edge_count(model):
+        raise ValueError("edge counts disagree")
+    return True
+
+
+def semistandard_by_marks(shape: SkewShape, word) -> bool:
+    """The semistandard rule by marks: letters weakly increase along rows
+    and columns, each v' is at most once in a row and each unprimed v at
+    most once in a column, and the word is canonical."""
+    marks = set()  # (row, primed code) and (column, unprimed code)
+    for (r, c), x, west, north in zip(shape.cells_reading, word, shape.west, shape.north):
+        mark = (r, x) if x % 2 else (c, x)
+        if (x < 1 or mark in marks or (west is not None and word[west] > x)
+                or (north is not None and word[north] > x)):
+            return False
+        marks.add(mark)
+    return tuple(word) == canonicalize_codes(word)

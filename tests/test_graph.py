@@ -13,7 +13,6 @@ from shifted_crystal import (
     build_graph,
     cactus_act,
     cactus_generators,
-    component_isomorphic_to_straight,
     eta,
     eta_interval,
     export_dot,
@@ -32,6 +31,8 @@ from shifted_crystal import graph as graph_module
 from shifted_crystal.core import InvariantError
 from shifted_crystal.graph import _walk_tables
 from shifted_crystal.operators import classify_string
+
+from oracles import component_isomorphic_to_straight
 
 DESK_GRAPHS = [("2,1", 4), ("3,1", 3), ("3,2", 3)]
 

@@ -12,13 +12,14 @@ from shifted_crystal import (
     eta_interval,
     evacuate,
     is_lrs,
-    knuth_equivalent,
     lrs_weight_counts,
     reversal,
     star,
     strict_partitions_inside,
     yamanouchi,
 )
+
+from oracles import knuth_equivalent
 
 
 def test_interval_permutation():
@@ -160,10 +161,3 @@ def test_eta_interval_intertwining_on_second_graph():
                     rhs = raise_op(T, th.index(i), n)
                     assert lower_op(out, i, n) == (
                         None if rhs is None else eta_interval(rhs, p, q, n))
-
-
-def test_splice_reconstructs_shape_when_omitted():
-    from shifted_crystal import splice
-
-    T = ShiftedTableau.parse("3,1/1", "1 2' / 2")
-    assert splice([T.restrict(1, 1), T.restrict(2, 2)]) == T

@@ -14,11 +14,9 @@ from shifted_crystal import (
     enumerate_tableaux,
     inner_slide,
     is_lrs,
-    knuth_equivalent,
     knuth_neighbors,
     outer_slide,
     rectify,
-    rectify_word,
     replay,
     strict_partitions_inside,
     unrectify,
@@ -26,6 +24,8 @@ from shifted_crystal import (
 )
 from shifted_crystal.core import canonicalize_codes
 from shifted_crystal.jdt import addable_cells, inner_corners, strip_tableau
+
+from oracles import knuth_equivalent
 
 
 def test_inner_corners_and_addable():
@@ -140,7 +140,7 @@ def test_strip_tableau_and_word_rectification():
     S = strip_tableau(w)
     assert S.reading_word(2) == w
     S.check()
-    assert str(rectify_word(Word.parse("2 1", n=2))) == "1 2"
+    assert str(rectify(strip_tableau(Word.parse("2 1", n=2)))[0].reading_word(2)) == "1 2"
     # runs 2 | 1 2' 3 3 | 1': one row each, the first run at the bottom,
     # each row right of every row below it
     S = strip_tableau(Word.parse("2 1 2' 3 3 1'", n=3))

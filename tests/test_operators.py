@@ -25,15 +25,15 @@ from shifted_crystal import (
     rectify,
     reversal,
     sigma,
-    splice,
     strict_partitions_inside,
     unprimed_lower,
     unprimed_raise,
-    unrectify,
     yamanouchi,
 )
 from shifted_crystal.core import InvariantError, canonicalize_codes
 from shifted_crystal.operators import _arrange, _place_facts, _two_letter_string
+
+from oracles import on_piece, string_step
 
 
 # ---------------------------------------------------------------------------
@@ -386,26 +386,13 @@ def test_letters_above_n_are_an_error():
 # the definitional paths, kept as oracles for the string lookups
 
 @functools.cache
-def _step_oracle(T, i, n, lowering):
-    """F_i or E_i: rectify the {i, i+1} piece, walk one solid edge, undo
-    the rectification and splice the three value bands back together."""
-    mid = T.restrict(i, i + 1)
-    if mid.size == 0:
-        return None
-    R, record = rectify(mid.relabel(-(i - 1)))
-    target = _place_facts(R)[0 if lowering else 1]
-    if target is None:
-        return None
-    moved = unrectify(target, record).relabel(i - 1)
-    return splice([T.restrict(1, i - 1), moved, T.restrict(i + 2, n)], shape=T.shape)
-
-
 def _f_oracle(T, i, n):
-    return _step_oracle(T, i, n, True)
+    return on_piece(T, i, i + 1, n, string_step(0))
 
 
+@functools.cache
 def _e_oracle(T, i, n):
-    return _step_oracle(T, i, n, False)
+    return on_piece(T, i, i + 1, n, string_step(1))
 
 
 def _power(op, T, i, n, m):
@@ -465,10 +452,7 @@ def _lengths_oracle(T, i, n):
 
 
 def _eta_oracle(T, p, q, n):
-    mid = T.restrict(p, q)
-    if mid.size:
-        mid = reversal(mid.relabel(-(p - 1)), q - p + 1).relabel(p - 1)
-    return splice([T.restrict(1, p - 1), mid, T.restrict(q + 1, n)], shape=T.shape)
+    return on_piece(T, p, q, n, lambda piece: reversal(piece, q - p + 1))
 
 
 def _oracle_cases():

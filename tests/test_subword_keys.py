@@ -1,12 +1,12 @@
 """Every colour-i operation and eta_{p,q}, keyed on the interval subword,
 against the piece route they replaced.
 
-The piece route cuts the letters [p, q]' out as a tableau of their own
-(restrict, then relabel down to start at 1), rectifies that piece, looks the
-result up in its straight two-letter string (or reverses the piece over
-[1, q - p + 1]'), unrectifies, and writes the letters back in place.  The
-primed operators act on the whole reading word.  None of it goes through
-the subword caches.
+The piece route (oracles.on_piece) cuts the letters [p, q]' out as a
+tableau of their own, shifted down to start at 1, rectifies that piece,
+looks the result up in its straight two-letter string (or reverses the
+piece over [1, q - p + 1]'), unrectifies, and splices the letters back in
+place.  The primed operators act on the whole reading word.  None of it
+goes through the subword caches.
 """
 
 import random
@@ -30,38 +30,14 @@ from shifted_crystal import (
     strict_partitions_inside,
     unprimed_lower,
     unprimed_raise,
-    unrectify,
 )
 from shifted_crystal.operators import _place_facts
+
+from oracles import on_piece, relabel, string_step
 
 
 # ---------------------------------------------------------------------------
 # the piece route
-
-def _on_piece(T, p, q, n, act):
-    """act on T's [p, q] piece, shifted down to start at 1, written back."""
-    assert T.max_value() <= n
-    piece = T.restrict(p, q).relabel(1 - p)
-    out = act(piece)
-    if out is None:
-        return None
-    assert out.shape == piece.shape
-    codes = list(T.word_codes)
-    lo, hi, shift = 2 * p - 1, 2 * q, 2 * (p - 1)
-    slots = [k for k, x in enumerate(codes) if lo <= x <= hi]
-    for k, x in zip(slots, out.word_codes):
-        codes[k] = x + shift
-    return ShiftedTableau(T.shape, codes)
-
-
-def _string_step(fact):
-    """F (0), E (1) or sigma (2) of the piece, from its rectification's place."""
-    def act(piece):
-        R, record = rectify(piece)
-        target = _place_facts(R)[fact]
-        return None if target is None else unrectify(target, record)
-    return act
-
 
 def _on_word(T, i, n, op):
     w = op(T.reading_word(n), i)
@@ -69,21 +45,21 @@ def _on_word(T, i, n, op):
 
 
 def _lengths_of_piece(T, i):
-    R, _ = rectify(T.restrict(i, i + 1).relabel(1 - i))
+    R, _ = rectify(relabel(T.restrict(i, i + 1), 1 - i))
     return _place_facts(R)[3]
 
 
 def _assert_matches_piece_route(T, n):
     for i in range(1, n):
-        assert unprimed_lower(T, i, n) == _on_piece(T, i, i + 1, n, _string_step(0)), (T, i)
-        assert unprimed_raise(T, i, n) == _on_piece(T, i, i + 1, n, _string_step(1)), (T, i)
-        assert sigma(T, i, n) == _on_piece(T, i, i + 1, n, _string_step(2)), (T, i)
+        assert unprimed_lower(T, i, n) == on_piece(T, i, i + 1, n, string_step(0)), (T, i)
+        assert unprimed_raise(T, i, n) == on_piece(T, i, i + 1, n, string_step(1)), (T, i)
+        assert sigma(T, i, n) == on_piece(T, i, i + 1, n, string_step(2)), (T, i)
         assert primed_lower_tableau(T, i, n) == _on_word(T, i, n, primed_lower), (T, i)
         assert primed_raise_tableau(T, i, n) == _on_word(T, i, n, primed_raise), (T, i)
         assert lengths(T, i, n) == _lengths_of_piece(T, i), (T, i)
     for p in range(1, n):
         for q in range(p + 1, n + 1):
-            want = _on_piece(T, p, q, n, lambda piece: reversal(piece, q - p + 1))
+            want = on_piece(T, p, q, n, lambda piece: reversal(piece, q - p + 1))
             assert eta_interval(T, p, q, n) == want, (T, p, q)
 
 
