@@ -79,8 +79,12 @@ def _cmd_reversal(args):
 def _cmd_eta(args):
     T = _read_tableau(args.tableau)
     n = _alphabet(args, T)
-    if args.interval:
-        p, q = (int(tok) for tok in args.interval.split(","))
+    if args.interval is not None:
+        try:
+            p, q = map(int, args.interval.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--interval must be two integers p,q, got {args.interval!r}") from None
         _print_tableau(eta_interval(T, p, q, n))
     else:
         _print_tableau(eta(T, n))

@@ -12,7 +12,8 @@ transiently inside operations and are normalized before they escape.
 
 A tableau is stored once, as its shape plus its reading word; a shape maps
 each of its cells to its index in reading order, so the letter in a cell is
-one dictionary lookup away.  Jeu de taquin and the primed operators both
+one dictionary lookup away.  Tableaux, words and shapes hash on demand, as
+few of them are ever hashed.  Jeu de taquin and the primed operators both
 rebuild a word from its standardization and letter values, and share
 destandardize_codes for it.
 
@@ -238,7 +239,7 @@ class SkewShape:
     left and of the cell above, or None where that cell is not in the shape.
     """
 
-    __slots__ = ("outer", "inner", "cells_reading", "position", "west", "north", "_hash")
+    __slots__ = ("outer", "inner", "cells_reading", "position", "west", "north")
 
     def __init__(self, outer, inner=EMPTY_PARTITION):
         outer = StrictPartition(outer)
@@ -256,7 +257,6 @@ class SkewShape:
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "west", tuple(position.get((r, c - 1)) for r, c in cells))
         object.__setattr__(self, "north", tuple(position.get((r - 1, c)) for r, c in cells))
-        object.__setattr__(self, "_hash", hash((outer.parts, inner.parts)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewShape is immutable")
@@ -299,7 +299,7 @@ class SkewShape:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.outer.parts, self.inner.parts))
 
     def __str__(self):
         return f"{self.outer}/{self.inner}"
@@ -404,7 +404,7 @@ def destandardize_codes(values, positions):
 class Word:
     """A word over the primed alphabet, stored in canonical form."""
 
-    __slots__ = ("codes", "n", "_hash")
+    __slots__ = ("codes", "n")
 
     def __init__(self, codes=(), n=None):
         codes = tuple(codes)
@@ -418,7 +418,6 @@ class Word:
             raise ValueError(f"letter value {maxval} out of range for n={n}")
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "_hash", hash((codes, n)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -447,7 +446,7 @@ class Word:
         return isinstance(other, Word) and self.codes == other.codes and self.n == other.n
 
     def __hash__(self):
-        return self._hash
+        return hash((self.codes, self.n))
 
     def __str__(self):
         return word_str(self.codes)
@@ -497,7 +496,7 @@ class ShiftedTableau:
     shape.cells_reading[k].
     """
 
-    __slots__ = ("shape", "word_codes", "_hash")
+    __slots__ = ("shape", "word_codes")
 
     def __init__(self, shape: SkewShape, word):
         word = tuple(word)
@@ -505,7 +504,6 @@ class ShiftedTableau:
             raise ValueError("word length does not match shape size")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "word_codes", word)
-        object.__setattr__(self, "_hash", hash((shape, word)))
         self.check()
 
     def __setattr__(self, name, value):
@@ -663,7 +661,7 @@ class ShiftedTableau:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.shape, self.word_codes))
 
     def __str__(self):
         return " / ".join(word_str(self._row(r))
@@ -680,12 +678,11 @@ EMPTY_TABLEAU = ShiftedTableau(EMPTY_SHAPE, ())
 # Enumeration
 
 def _leaf(shape, word, new=object.__new__, set_shape=ShiftedTableau.shape.__set__,
-          set_word=ShiftedTableau.word_codes.__set__, set_hash=ShiftedTableau._hash.__set__):
+          set_word=ShiftedTableau.word_codes.__set__):
     """ShiftedTableau(shape, word) unchecked, for fillings valid by construction."""
     T = new(ShiftedTableau)
     set_shape(T, shape)
     set_word(T, word)
-    set_hash(T, hash((shape, word)))
     return T
 
 

@@ -453,26 +453,47 @@ def _json_list(items, depth):
     return "[\n" + ",\n".join(items) + "\n" + " " * depth + "]" if items else "[]"
 
 
+def _field(rec, key, where, kind=None):
+    """rec[key], which must be there and, when kind is given, of exactly
+    that type (so a bool is not an int); otherwise a ValueError naming it."""
+    if type(rec) is not dict or key not in rec:
+        raise ValueError(f"{where} has no {key!r} field")
+    value = rec[key]
+    if kind is not None and type(value) is not kind:
+        raise ValueError(f"{where}: {key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def graph_from_json(text: str) -> CrystalGraph:
-    """The graph of an export_json text.  Vertex k must carry id k and a
-    reading word no other vertex has, and an edge integer ids and colour
-    and a boolean primed; otherwise it is a ValueError."""
+    """The graph of an export_json text.  A missing field, or one of the
+    wrong type, is a ValueError, and so is each of: an n below 0, a vertex
+    whose id is not its position, whose word another vertex has or whose
+    weight is not its word's weight over [n]', and an edge without integer
+    ids and colour and a boolean primed."""
     obj = json.loads(text)
-    shape = SkewShape.parse(obj["shape"])
-    n = obj["n"]
+    shape = SkewShape.parse(_field(obj, "shape", "the graph", str))
+    n = _field(obj, "n", "the graph", int)
+    if n < 0:
+        raise ValueError(f"the graph: n must be at least 0, got {n}")
     vertices, words = [], set()
-    for vid, rec in enumerate(obj["vertices"]):
-        if type(rec["id"]) is not int or rec["id"] != vid:
+    for vid, rec in enumerate(_field(obj, "vertices", "the graph", list)):
+        where = f"vertex {vid}"
+        if _field(rec, "id", where, int) != vid:
             raise ValueError(f"vertex id {rec['id']!r} at position {vid}; "
                              "ids must count up from 0 in order")
-        codes = Word.parse(rec["word"], n).codes
+        codes = Word.parse(_field(rec, "word", where, str), n).codes
         if codes in words:
             raise ValueError(f"vertex {vid} repeats the word {rec['word']!r}")
         words.add(codes)
-        vertices.append(ShiftedTableau(shape, codes))
+        T = ShiftedTableau(shape, codes)
+        weight = _field(rec, "weight", where, list)
+        if any(type(x) is not int for x in weight) or tuple(weight) != T.weight(n):
+            raise ValueError(f"vertex {vid}: weight {weight!r} is not the weight "
+                             f"{list(T.weight(n))} of its word {rec['word']!r}")
+        vertices.append(T)
     edges = []
-    for e in obj["edges"]:
-        edge = (e["src"], e["dst"], e["color"], e["primed"])
+    for e in _field(obj, "edges", "the graph", list):
+        edge = tuple(_field(e, key, "an edge") for key in ("src", "dst", "color", "primed"))
         if any(type(x) is not int for x in edge[:3]) or type(edge[3]) is not bool:
             raise ValueError(f"edge {edge} needs integer src, dst and color "
                              "and a boolean primed")

@@ -442,8 +442,7 @@ def strip_tableau(w: Word) -> ShiftedTableau:
 
 def yamanouchi(nu) -> ShiftedTableau:
     """The tableau of shape nu whose i-th row is filled with i."""
-    nu = StrictPartition(nu)
-    shape = SkewShape(nu)
+    shape = shared_shape(StrictPartition(nu).parts, ())
     return ShiftedTableau(shape, [letter(r) for r, _ in shape.cells_reading])
 
 

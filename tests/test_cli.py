@@ -259,6 +259,24 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tableau, interval, message", [
+    ("2,1/\n1 1 / 2\n", "2", "--interval must be two integers p,q, got '2'"),
+    ("2,1/\n1 1 / 2\n", "2,3,4", "--interval must be two integers p,q, got '2,3,4'"),
+    ("2,1/\n1 1 / 2\n", "a,b", "--interval must be two integers p,q, got 'a,b'"),
+    ("2,1/\n1 1 / 2\n", "", "--interval must be two integers p,q, got ''"),
+    ("2,1/\n", None, "tableau input needs a shape line and a filling line"),
+    ("2,1/\n1 1\n", None, "expected 2 rows in filling, got 1"),
+    ("2,1/\n1 1 2 / 2\n", None, "row 1 expects 2 cells, got 3"),
+])
+def test_eta_input_errors_exit_2_and_name_the_input(tmp_path, capsys, tableau, interval, message):
+    f = tmp_path / "t.txt"
+    f.write_text(tableau, encoding="utf-8")
+    extra = [] if interval is None else ["--interval", interval]
+    code, _ = run_cli("eta", "--tableau", str(f), "--n", "3", *extra)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_stdin_tableau(monkeypatch):
     import sys
     monkeypatch.setattr(sys, "stdin", io.StringIO("2,1/\n1 1 / 2\n"))

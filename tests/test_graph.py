@@ -215,6 +215,29 @@ def test_graph_from_json_refuses_an_edge_field_of_the_wrong_type(graph_cache, fi
         graph_from_json(_edited_export(g, retype))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.update(n="3"), "the graph: n must be of type int, got '3'"),
+    (lambda obj: obj.update(n=3.0), "the graph: n must be of type int, got 3.0"),
+    (lambda obj: obj.update(n=True), "the graph: n must be of type int, got True"),
+    (lambda obj: obj.update(n=-1), "the graph: n must be at least 0, got -1"),
+    (lambda obj: obj.update(shape=5), "the graph: shape must be of type str, got 5"),
+    (lambda obj: obj.update(vertices={}), "the graph: vertices must be of type list, got {}"),
+    (lambda obj: obj["vertices"][0].update(word=7), "vertex 0: word must be of type str, got 7"),
+    (lambda obj: obj.pop("edges"), "the graph has no 'edges' field"),
+    (lambda obj: obj["vertices"][2].pop("weight"), "vertex 2 has no 'weight' field"),
+    (lambda obj: obj["edges"][0].pop("src"), "an edge has no 'src' field"),
+    (lambda obj: obj["vertices"][0].update(weight=[1, 1, 1]),
+     r"vertex 0: weight \[1, 1, 1\] is not the weight \[2, 1, 0\] of its word '2 1 1'"),
+    (lambda obj: obj["vertices"][0].update(weight=[2.0, 1, 0]),
+     r"vertex 0: weight \[2.0, 1, 0\] is not"),
+    (lambda obj: obj["vertices"][0].update(weight=[2, 1]), r"vertex 0: weight \[2, 1\] is not"),
+])
+def test_graph_from_json_names_a_malformed_field(graph_cache, edit, message):
+    g = graph_cache("2,1", 3)
+    with pytest.raises(ValueError, match=message):
+        graph_from_json(_edited_export(g, edit))
+
+
 def test_components_highest_is_lrs(graph_cache):
     g = graph_cache("3,1/1", 3)
     assert sum(len(c) for c in g.components) == len(g.vertices)

@@ -22,7 +22,7 @@ from shifted_crystal import (
     unrectify,
     yamanouchi,
 )
-from shifted_crystal.core import canonicalize_codes
+from shifted_crystal.core import canonicalize_codes, shared_shape
 from shifted_crystal.jdt import addable_cells, inner_corners, strip_tableau
 
 from oracles import knuth_equivalent
@@ -161,6 +161,11 @@ def test_yamanouchi_golden_and_uniqueness():
             if T.weight(len(nu)) == tuple(nu.parts)
         ]
         assert hits == [yamanouchi(nu)]
+
+
+def test_yamanouchi_builds_its_shape_through_shared_shape():
+    assert yamanouchi((3, 1)).shape is shared_shape((3, 1), ())
+    assert yamanouchi(StrictPartition((3, 1))).shape is shared_shape((3, 1), ())
 
 
 def test_is_lrs_examples():
