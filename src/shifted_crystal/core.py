@@ -136,7 +136,13 @@ class StrictPartition:
         text = text.strip()
         if not text:
             return cls()
-        return cls(int(tok) for tok in text.split(","))
+        parts = []
+        for tok in text.split(","):
+            try:
+                parts.append(int(tok))
+            except ValueError:
+                raise ValueError(f"cannot parse part {tok.strip()!r} of {text!r}") from None
+        return cls(parts)
 
     @property
     def size(self) -> int:

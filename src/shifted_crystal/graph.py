@@ -6,9 +6,12 @@ than assumptions.  Vertex ids index the deterministic enumeration order
 (lexicographic by reading word), which keeps exports byte-stable.  A graph
 stores its edges only in id lists, once per direction, and indexes its
 vertices by reading word; the sorted edge tuple the exports read is derived
-from the lists on first read.  One pass, target_ids, finds the F, F' and
-sigma targets: build_graph takes the F and F' lists from it, and the braid
-suite, on the edgeless vertex_graph, the sigma lists.
+from the lists on first read.  One pass per colour, target_ids, finds the
+F, F' and sigma targets: build_graph takes the F and F' lists from it, and
+the braid suite, on the edgeless vertex_graph, the sigma lists.  A colour-i
+operator changes only the letters of value i and i + 1, so the pass groups
+the vertices by the rest of their words and finds each target by its
+{i, i+1} subword within its source's group; no word is written back.
 """
 
 import functools
@@ -26,7 +29,6 @@ from .core import (
     enumerate_tableaux,
     shared_shape,
     word_str,
-    write_subword,
 )
 from .involutions import eta_interval
 from .jdt import is_lrs
@@ -87,8 +89,9 @@ class CrystalGraph:
     up[i, primed][v] its source, None where there is no edge; these lists
     are the only stored form of the edges.  word_index maps reading words
     to ids.  The constructor takes the edges as (src, dst, colour, primed)
-    tuples; an edge outside the graph, or a second edge of one colour and
-    kind out of or into a vertex, is a ValueError.
+    tuples; two vertices with one word, an edge outside the graph, or a
+    second edge of one colour and kind out of or into a vertex, is a
+    ValueError.
     """
 
     def __init__(self, shape: SkewShape, n: int, vertices, edges, colors=None):
@@ -98,6 +101,8 @@ class CrystalGraph:
         self.colors = tuple(colors) if colors is not None else tuple(range(1, n))
         self.word_index = {T.word_codes: vid for vid, T in enumerate(self.vertices)}
         size = len(self.vertices)
+        if len(self.word_index) != size:
+            raise ValueError("two vertices of the graph have one reading word")
         self.down = {(i, primed): [None] * size
                      for i in range(1, n) for primed in (False, True)}
         for edge in edges:
@@ -224,26 +229,78 @@ def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGr
 def target_ids(g: CrystalGraph, i: int, *fields):
     """Colour i's targets for each named _colour_one field ("f", "f_prime",
     "sigma"): one id list per field, None where the operator is undefined.
-    A target's word is the vertex's reading word with its {i, i+1} subword
-    replaced, found in g's word index.  The vertices are exactly the valid
-    tableaux, so a target that is not one of them is an InvariantError, and
-    so is an undefined sigma, which is total."""
-    lists = tuple([] for _ in fields)
-    for T in g.vertices:
-        record = _colour_one(T.interval_subword(i, i + 1, g.n))
-        for field, targets in zip(fields, lists):
-            target = getattr(record, field)
-            if target is None:
-                if field == "sigma":
-                    raise InvariantError(f"sigma_{i} fell off the crystal at {T}")
-                targets.append(None)
-                continue
-            dst = g.word_index.get(write_subword(T.word_codes, i, i + 1, target))
-            if dst is None:
-                op = {"f": "F", "f_prime": "F'"}.get(field, field)
-                raise InvariantError(f"{op}_{i} of {T} is not a vertex of B({g.shape},{g.n})")
-            targets.append(dst)
+
+    A colour-i operator changes only the letters of value i and i + 1, so a
+    target agrees with its source everywhere else.  The vertices are grouped
+    by that rest, their mask (the word with those letters zeroed), into
+    {subword: id}, and a target is its subword's entry in its source's
+    group.  The vertices are exactly the valid tableaux, so a target that is
+    not one of them is an InvariantError, and so is an undefined sigma,
+    which is total."""
+    key, convert = _colour_keys(i, g.n)
+    groups = {}
+    # the ids come from the word index, so the lists share its int objects
+    # rather than holding a fresh set per pass
+    for codes, vid in g.word_index.items():
+        mask, sub = key(codes)
+        group = groups.get(mask)
+        if group is None:
+            groups[mask] = group = {}
+        group[sub] = vid
+    # _colour_one keeps the last 4 096 records; asked for in sorted order,
+    # reversed on every other colour, a pass starts on the records that the
+    # pass before asked for last
+    subs = sorted({sub for group in groups.values() for sub in group}, reverse=i % 2 == 1)
+    records = {}
+    for sub in subs:
+        record = _colour_one(tuple(sub))
+        targets = [getattr(record, field) for field in fields]
+        records[sub] = [None if target is None else convert(target) for target in targets]
+    lists = tuple([None] * len(g.vertices) for _ in fields)
+    for group in groups.values():
+        for sub, vid in group.items():
+            for field, out, target in zip(fields, lists, records[sub]):
+                if target is None:
+                    if field == "sigma":
+                        raise InvariantError(
+                            f"sigma_{i} fell off the crystal at {g.vertices[vid]}")
+                    continue
+                dst = group.get(target)
+                if dst is None:
+                    op = {"f": "F", "f_prime": "F'"}.get(field, field)
+                    raise InvariantError(f"{op}_{i} of {g.vertices[vid]} is not a vertex "
+                                         f"of B({g.shape},{g.n})")
+                out[vid] = dst
     return lists
+
+
+def _colour_keys(i: int, n: int):
+    """(key, convert) for colour i's pass.  key(codes) is a word's (mask,
+    subword): the word with its letters of value i and i + 1 zeroed, and
+    those letters in reading order shifted down to [1, 2]'.  convert turns
+    a _colour_one target into a subword key.  While the codes, at most 2n,
+    fit in a byte, words are keyed as bytes, cut by two translate calls;
+    larger alphabets are keyed as tuples (_tuple_key)."""
+    lo, hi, shift = 2 * i - 1, 2 * i + 2, 2 * (i - 1)
+    if 2 * n > 255:
+        return functools.partial(_tuple_key, lo, hi, shift), tuple
+    same = bytes(range(256))
+    mask_table = same[:lo] + bytes(4) + same[hi + 1:]
+    sub_table = same[:lo] + bytes(range(1, 5)) + same[hi + 1:]
+    outside = same[:lo] + same[hi + 1:]
+
+    def key(codes):
+        word = bytes(codes)
+        return word.translate(mask_table), word.translate(sub_table, outside)
+
+    return key, bytes
+
+
+def _tuple_key(lo: int, hi: int, shift: int, codes) -> tuple:
+    """(mask, subword) of a word as tuples: the word with its codes in
+    [lo, hi] zeroed, and those codes in reading order, less shift."""
+    return (tuple(0 if lo <= x <= hi else x for x in codes),
+            tuple(x - shift for x in codes if lo <= x <= hi))
 
 
 def interval_subgraph(g: CrystalGraph, p: int, q: int) -> CrystalGraph:
@@ -311,8 +368,17 @@ def cactus_act(g: CrystalGraph, gen, T):
     return g.vertex_id(eta_interval(g.vertices[vid], p, q, g.n))
 
 
-def _word_of(g: CrystalGraph, vid: int) -> str:
-    return word_str(g.vertices[vid].word_codes)
+class _Words(dict):
+    """Vertex id -> the vertex's reading word as printed (word_str), each
+    rendered once, on first use; one per report."""
+
+    def __init__(self, g: CrystalGraph):
+        super().__init__()
+        self.vertices = g.vertices
+
+    def __missing__(self, vid):
+        word = self[vid] = word_str(self.vertices[vid].word_codes)
+        return word
 
 
 def _walk_tables(g: CrystalGraph):
@@ -328,7 +394,7 @@ def _walk_tables(g: CrystalGraph):
 
     def fail(kind, p, q, vid, **details):
         violations.append({"kind": kind, "params": {"p": p, "q": q}, **details,
-                           "witness": vid, "witness_word": _word_of(g, vid)})
+                           "witness": vid})
 
     for p, q in cactus_generators(g.n):
         # the [p,q]-interval subgraph read from g's own id lists;
@@ -379,8 +445,9 @@ def verify_cactus(g: CrystalGraph) -> dict:
     on the generators whose tables the walk completed.
 
     Returns a machine-readable report: every violation carries the relation
-    number (or walk kind), its parameters, and a witness vertex id;
-    "anchors" counts the jeu de taquin anchor checks.
+    number (or walk kind), its parameters, and a witness vertex id with
+    its word, each word rendered once per report (_Words); "anchors" counts
+    the jeu de taquin anchor checks.
     """
     tables, anchors, violations = _walk_tables(g)
     gens = [gen for gen in cactus_generators(g.n) if None not in tables[gen]]
@@ -390,7 +457,7 @@ def verify_cactus(g: CrystalGraph) -> dict:
         # the two composed tables must agree at every vertex
         checked[key] += len(lhs)
         violations.extend({"relation": number, "params": params,
-                           "witness": vid, "witness_word": _word_of(g, vid)}
+                           "witness": vid}
                           for vid, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
 
     for p, q in gens:
@@ -407,6 +474,9 @@ def verify_cactus(g: CrystalGraph) -> dict:
             inner, outer, mirrored = tables[(k, l)], tables[(p, q)], tables[mirror]
             relation(3, "nested", {"p": p, "q": q, "k": k, "l": l},
                      [outer[x] for x in inner], [mirrored[x] for x in outer])
+    words = _Words(g)
+    for violation in violations:
+        violation["witness_word"] = words[violation["witness"]]
     return {
         "graph": {"shape": str(g.shape), "n": g.n,
                   "vertices": len(g.vertices), "edges": _edge_count(g)},

@@ -16,9 +16,9 @@ from .core import (
     enumerate_tableaux,
     strict_partitions_inside,
     strict_partitions_of,
-    word_str,
 )
 from .graph import (
+    _Words,
     build_graph,
     lrs_count,
     target_ids,
@@ -56,25 +56,26 @@ def run_braid(shape="5,3,1", n=3, max_vertices=None) -> dict:
 
     Each sigma_i is a vertex-id array from graph.target_ids, the pass in
     which build_graph finds the F_i and F'_i edges: the sigma target of each
-    vertex's {i, i+1} subword, written back into its reading word and looked
-    up in the word index of graph.vertex_graph, which has no edges to build.
-    The relation composes arrays.  "checked" counts the (vertex, (i, i+1))
-    pairs examined.
+    vertex's {i, i+1} subword, found among the vertices of
+    graph.vertex_graph (which has no edges to build) that agree with it
+    outside the letters i and i + 1.  The relation composes arrays, and each
+    witness word is rendered once per report (graph._Words).  "checked"
+    counts the (vertex, (i, i+1)) pairs examined.
     """
     g = vertex_graph(SkewShape.parse(str(shape)), n, max_vertices)
     s = {i: target_ids(g, i, "sigma")[0] for i in range(1, n)}
-    violations = []
-    for vid, T in enumerate(g.vertices):
+    violations, words = [], _Words(g)
+    for vid in range(len(g.vertices)):
         for i in range(1, n - 1):
             j = i + 1
             a, b = s[i][s[j][s[i][vid]]], s[j][s[i][s[j][vid]]]
             if a != b:
                 violations.append({
                     "witness": vid,
-                    "witness_word": word_str(T.word_codes),
+                    "witness_word": words[vid],
                     "i": i, "j": j,
-                    "sigma_iji": word_str(g.vertices[a].word_codes),
-                    "sigma_jij": word_str(g.vertices[b].word_codes),
+                    "sigma_iji": words[a],
+                    "sigma_jij": words[b],
                 })
     ok = not violations
     return {

@@ -1,7 +1,9 @@
 """Definitional paths the library no longer runs, kept for the tests to
 compare against.  The piece route (on_piece) is the paper's definition of
 F_i, E_i, sigma_i and eta_{p,q} on the letters [p, q]'; the library acts on
-the interval subword instead."""
+the interval subword instead.  target_ids_by_write_back is the colour-i
+target pass that writes each target back into the whole reading word and
+looks it up in the word index; graph.target_ids groups by mask instead."""
 
 from shifted_crystal import (
     ShiftedTableau,
@@ -13,9 +15,9 @@ from shifted_crystal import (
     unrectify,
     yamanouchi,
 )
-from shifted_crystal.core import canonicalize_codes
+from shifted_crystal.core import InvariantError, canonicalize_codes, write_subword
 from shifted_crystal.graph import _edge_count
-from shifted_crystal.operators import _place_facts
+from shifted_crystal.operators import _colour_one, _place_facts
 
 # knuth_equivalent's search grows fast with the word length
 KNUTH_MAX_LEN = 8
@@ -160,3 +162,26 @@ def semistandard_by_marks(shape: SkewShape, word) -> bool:
             return False
         marks.add(mark)
     return tuple(word) == canonicalize_codes(word)
+
+
+def target_ids_by_write_back(g, i, *fields):
+    """graph.target_ids by write-back: for each vertex in id order, its
+    {i, i+1} subword's _colour_one target of each field is written back
+    into its reading word (write_subword) and looked up in g's word index.
+    Raises the same InvariantErrors."""
+    lists = tuple([] for _ in fields)
+    for T in g.vertices:
+        record = _colour_one(T.interval_subword(i, i + 1, g.n))
+        for field, targets in zip(fields, lists):
+            target = getattr(record, field)
+            if target is None:
+                if field == "sigma":
+                    raise InvariantError(f"sigma_{i} fell off the crystal at {T}")
+                targets.append(None)
+                continue
+            dst = g.word_index.get(write_subword(T.word_codes, i, i + 1, target))
+            if dst is None:
+                op = {"f": "F", "f_prime": "F'"}.get(field, field)
+                raise InvariantError(f"{op}_{i} of {T} is not a vertex of B({g.shape},{g.n})")
+            targets.append(dst)
+    return lists

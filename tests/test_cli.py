@@ -259,6 +259,16 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--shape", "a,b", "--n", "2"], "cannot parse part 'a' of 'a,b'"),
+    (["lrs-count", "--lambda", "3,1", "--mu", "x", "--nu", "1"], "cannot parse part 'x' of 'x'"),
+    (["verify", "cactus", "--shape", "2,x"], "cannot parse part 'x' of '2,x'"),
+])
+def test_a_part_that_is_not_an_integer_exits_2_and_names_the_text(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("tableau, interval, message", [
     ("2,1/\n1 1 / 2\n", "2", "--interval must be two integers p,q, got '2'"),
     ("2,1/\n1 1 / 2\n", "2,3,4", "--interval must be two integers p,q, got '2,3,4'"),

@@ -29,10 +29,10 @@ from shifted_crystal import (
 from shifted_crystal import core as core_module
 from shifted_crystal import graph as graph_module
 from shifted_crystal.core import InvariantError
-from shifted_crystal.graph import _walk_tables
+from shifted_crystal.graph import _colour_keys, _tuple_key, _walk_tables, target_ids, vertex_graph
 from shifted_crystal.operators import classify_string
 
-from oracles import component_isomorphic_to_straight
+from oracles import component_isomorphic_to_straight, target_ids_by_write_back
 
 DESK_GRAPHS = [("2,1", 4), ("3,1", 3), ("3,2", 3)]
 
@@ -123,6 +123,53 @@ def test_build_graph_refuses_two_edges_into_one_vertex(monkeypatch):
     monkeypatch.setattr(graph_module, "_colour_one", merged)
     with pytest.raises(ValueError, match=r"edge \(1, 2, 1, False\) repeats a vertex's solid"):
         build_graph(SkewShape.parse("2"), 2)
+
+
+def test_build_graph_rejects_a_target_one_letter_too_long(monkeypatch):
+    # the grouped lookup finds a target only among the words that agree with
+    # its source outside the letters i and i + 1, so a longer one is no vertex
+    real = graph_module._colour_one
+
+    def longer(sub):
+        assert type(sub) is tuple
+        record = real(sub)
+        return record._replace(f=record.f + (2,)) if record.f is not None else record
+
+    monkeypatch.setattr(graph_module, "_colour_one", longer)
+    with pytest.raises(InvariantError, match=r"F_1 of .* is not a vertex of B\("):
+        build_graph(SkewShape.parse("3,1"), 3)
+
+
+# B((1),127) has 2n = 254, the last alphabet keyed as bytes; B((1),200)'s is keyed as tuples
+@pytest.mark.parametrize("shape, n", DESK_GRAPHS + [("3,1/1", 3), ("1", 127), ("1", 200)])
+def test_target_ids_match_the_write_back_oracle(shape, n):
+    fields = ("f", "f_prime", "sigma")
+    g = vertex_graph(SkewShape.parse(shape), n)
+    for i in range(1, n):
+        assert target_ids(g, i, *fields) == target_ids_by_write_back(g, i, *fields), i
+
+
+def test_colour_keys_cut_the_mask_and_the_subword():
+    # colour 150 reads the codes 299 to 302, the letters 150', 150, 151' and 151
+    codes = (1, 299, 400, 302, 300, 5, 301, 302, 303)
+    want = ((1, 0, 400, 0, 0, 5, 0, 0, 303), (1, 4, 2, 3, 4))
+    assert _tuple_key(299, 302, 298, codes) == want
+    key, convert = _colour_keys(150, 200)
+    assert key(codes) == want and convert((1, 2)) == (1, 2)
+    # up to 2n = 254 the key is in bytes, and cuts the same words
+    codes = (1, 251, 254, 200, 252, 253, 254, 2)
+    key, convert = _colour_keys(126, 127)
+    mask, sub = key(codes)
+    assert type(mask) is bytes and type(sub) is bytes
+    assert (tuple(mask), tuple(sub)) == _tuple_key(251, 254, 250, codes)
+    assert convert((1, 4)) == bytes((1, 4))
+
+
+def test_graph_refuses_two_vertices_with_one_word():
+    # target_ids walks the word index, which would hold one of the two ids
+    v = vertex_graph(SkewShape.parse("2,1"), 3).vertices
+    with pytest.raises(ValueError, match="two vertices of the graph have one reading word"):
+        CrystalGraph(v[0].shape, 3, (v[2],) + v, ())
 
 
 def test_id_lists_hold_exactly_the_edges(graph_cache):
