@@ -337,15 +337,15 @@ def lrs_weight_counts(shape: SkewShape, n: int) -> dict:
 def lrs_count(lam, mu, nu) -> int:
     """Number of LRS tableaux of shape lam/mu and weight nu.
 
-    Zero whenever the sizes mismatch, mu is not contained in lam, or nu is
-    not strictly decreasing (no Yamanouchi tableau to rectify to).
+    Zero whenever the sizes mismatch, mu is not contained in lam, or nu, less
+    trailing zeros, is not strict (no Yamanouchi tableau to rectify to).
     """
     lam = StrictPartition(lam)
     mu = StrictPartition(mu)
-    nu_t = tuple(nu.parts) if isinstance(nu, StrictPartition) else tuple(nu)
-    if any(a <= b for a, b in zip(nu_t, nu_t[1:])) or any(p <= 0 for p in nu_t):
+    try:
+        nu = StrictPartition(nu)
+    except ValueError:
         return 0
-    nu = StrictPartition(nu_t)
     if not lam.contains(mu) or lam.size != mu.size + nu.size:
         return 0
     if not nu:

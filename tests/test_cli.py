@@ -107,6 +107,18 @@ def test_verify_json_prints_the_whole_report(monkeypatch):
     code, out = run_cli("verify", "braid", "--shape", "5,3,1", "--n", "3", "--json")
     rep = json.loads(out)
     assert code == 1 and rep["checked"] == rep["graph"]["vertices"] and rep["violations"]
+    # the suites built on one contract: "suite" first, "violations", "ok" and
+    # "summary" last
+    for argv, fields in (
+        (("knuth", "--max-size", "2", "--shape", "2,1", "--n", "1"),
+         ["words", "classes", "shapes", "tableaux", "checked", "seconds"]),
+        (("symmetry", "--shape", "2,1"), ["checked"]),
+        (("structure", "--shape", "2,1", "--n", "2"), ["graphs"]),
+    ):
+        code, out = run_cli("verify", *argv, "--json")
+        rep = json.loads(out)
+        assert code == 0 and list(rep) == ["suite", *fields, "violations", "ok", "summary"]
+        assert rep["suite"] == argv[0] and rep["violations"] == []
     # knuth at a small scope keeps this fast; criterion 9 runs the full one
     real_knuth = verify.run_knuth
     monkeypatch.setattr(verify, "run_knuth", lambda seed: real_knuth(

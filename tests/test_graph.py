@@ -341,6 +341,12 @@ def test_lrs_count_examples():
     assert lrs_count((3, 1), (1,), (2,)) == 0
     assert lrs_count((2, 1), (2, 1), ()) == 1
     assert lrs_count((2, 1), (1,), ()) == 0
+    # nu drops trailing zeros like lam and mu, and is refused when not strict
+    assert lrs_count((3, 1), (1,), (2, 1, 0)) == 1
+    assert lrs_count((2, 1), (2, 1), (0,)) == 1
+    assert lrs_count((3, 1), (1,), StrictPartition((2, 1))) == 1
+    for nu in ((2, 2), (2, 0, 1), (-1,)):
+        assert lrs_count((3, 1), (1,), nu) == 0, nu
 
 
 def test_cactus_act_and_relations(graph_cache):

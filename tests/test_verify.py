@@ -291,6 +291,38 @@ def test_structure_classifies_each_string_once(monkeypatch):
     assert len(issues) == sum(1 for _, comp in strings if len(comp) > 1)
 
 
+def test_failing_reports_keep_the_contract(monkeypatch):
+    """One failing run per suite: "violations", "ok" and "summary" close the
+    report, and the summary ends in the suite's failure text."""
+    reports = []
+    with monkeypatch.context() as m:
+        _swap_top_numbers_away_from_the_first_corner(m)
+        reports.append(run_knuth(max_len=2, values=2, bound="4,3", n_max=3, orders=5, seed=1))
+    with monkeypatch.context() as m:
+        real, calls = verify.lrs_count, itertools.count()
+        # the first coefficient reads one more than its mirror
+        m.setattr(verify, "lrs_count", lambda lam, mu, nu: real(lam, mu, nu) + (next(calls) == 0))
+        reports.append(run_symmetry(bound="2,1"))
+    with monkeypatch.context() as m:
+        def broken(T, i, n):
+            raise InvariantError("bad string")
+        m.setattr(verify, "classify_string", broken)
+        reports.append(run_structure(bound="2,1", n=2, extra=()))
+    reports.append(run_braid("5,3,1", 3))
+    assert [(list(r), r["summary"], len(r["violations"]), r["ok"]) for r in reports] == [
+        (["suite", "words", "classes", "shapes", "tableaux", "checked", "seconds",
+          "violations", "ok", "summary"],
+         "knuth vs rectification on 9 words (6 classes) and slide-order invariance on "
+         "1018 tableaux x 5 orders: 1 mismatches", 1, False),
+        (["suite", "checked", "violations", "ok", "summary"],
+         "LR symmetry on 11 coefficient pairs inside (2,1): 1 mismatches", 1, False),
+        (["suite", "graphs", "violations", "ok", "summary"],
+         "structure of 10 desk graphs: 10 issues", 10, False),
+        (["suite", "graph", "checked", "violations", "ok", "summary"],
+         "braid relations on B(5,3,1,3): fail at 46 vertices", 46, False),
+    ]
+
+
 def test_graph_suites_at_scale_within_budget():
     """Cactus and braid on B((5,3,1),5) together in under 5 s (7.3 s before
     the operators were keyed on subwords, 2.4 s after, on a 2-core host)."""
