@@ -6,8 +6,8 @@ than assumptions.  Vertex ids index the deterministic enumeration order
 (lexicographic by reading word), which keeps exports byte-stable.  A graph
 stores its edges only in id lists, once per direction, and indexes its
 vertices by reading word; the sorted edge tuple the exports read is derived
-from the lists on first read.  One pass per colour, target_ids, finds the
-F, F' and sigma targets: build_graph takes the F and F' lists from it, and
+from the lists on first read.  One pass per graph, target_ids, finds each
+colour's F, F' and sigma targets: build_graph takes the F and F' lists,
 the braid suite, on the edgeless vertex_graph, the sigma lists.  A colour-i
 operator changes only the letters of value i and i + 1, so the pass groups
 the vertices by the rest of their words and finds each target by its
@@ -94,11 +94,11 @@ class CrystalGraph:
     ValueError.
     """
 
-    def __init__(self, shape: SkewShape, n: int, vertices, edges, colors=None):
+    def __init__(self, shape: SkewShape, n: int, vertices, edges):
         self.shape = shape
         self.n = n
         self.vertices = tuple(vertices)
-        self.colors = tuple(colors) if colors is not None else tuple(range(1, n))
+        self.colors = tuple(range(1, n))
         self.word_index = {T.word_codes: vid for vid, T in enumerate(self.vertices)}
         size = len(self.vertices)
         if len(self.word_index) != size:
@@ -220,58 +220,57 @@ def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGr
     F'_i lists of target_ids.
     """
     g = vertex_graph(shape, n, max_vertices)
-    for i in range(1, n):
-        g.down[i, False], g.down[i, True] = target_ids(g, i, "f", "f_prime")
+    for i, (f, f_prime) in target_ids(g, "f", "f_prime"):
+        g.down[i, False], g.down[i, True] = f, f_prime
     g._link()
     return g
 
 
-def target_ids(g: CrystalGraph, i: int, *fields):
-    """Colour i's targets for each named _colour_one field ("f", "f_prime",
-    "sigma"): one id list per field, None where the operator is undefined.
+def target_ids(g: CrystalGraph, *fields):
+    """Yield (i, lists) for each colour i in 1..n-1: one target id list per
+    named _colour_one field ("f", "f_prime", "sigma"), None where undefined.
 
     A colour-i operator changes only the letters of value i and i + 1, so a
     target agrees with its source everywhere else.  The vertices are grouped
     by that rest, their mask (the word with those letters zeroed), into
     {subword: id}, and a target is its subword's entry in its source's
-    group.  The vertices are exactly the valid tableaux, so a target that is
-    not one of them is an InvariantError, and so is an undefined sigma,
-    which is total."""
-    key, convert = _colour_keys(i, g.n)
-    groups = {}
-    # the ids come from the word index, so the lists share its int objects
-    # rather than holding a fresh set per pass
-    for codes, vid in g.word_index.items():
-        mask, sub = key(codes)
-        group = groups.get(mask)
-        if group is None:
-            groups[mask] = group = {}
-        group[sub] = vid
-    # _colour_one keeps the last 4 096 records; asked for in sorted order,
-    # reversed on every other colour, a pass starts on the records that the
-    # pass before asked for last
-    subs = sorted({sub for group in groups.values() for sub in group}, reverse=i % 2 == 1)
+    group.  Subwords are shifted down to [1, 2]', so one table serves every
+    colour, an entry filled when a group first meets its subword.  The
+    vertices are exactly the valid tableaux, so a target that is not one of
+    them is an InvariantError, and so is an undefined sigma, which is total."""
     records = {}
-    for sub in subs:
-        record = _colour_one(tuple(sub))
-        targets = [getattr(record, field) for field in fields]
-        records[sub] = [None if target is None else convert(target) for target in targets]
-    lists = tuple([None] * len(g.vertices) for _ in fields)
-    for group in groups.values():
-        for sub, vid in group.items():
-            for field, out, target in zip(fields, lists, records[sub]):
-                if target is None:
-                    if field == "sigma":
-                        raise InvariantError(
-                            f"sigma_{i} fell off the crystal at {g.vertices[vid]}")
-                    continue
-                dst = group.get(target)
-                if dst is None:
-                    op = {"f": "F", "f_prime": "F'"}.get(field, field)
-                    raise InvariantError(f"{op}_{i} of {g.vertices[vid]} is not a vertex "
-                                         f"of B({g.shape},{g.n})")
-                out[vid] = dst
-    return lists
+    for i in range(1, g.n):
+        key, convert = _colour_keys(i, g.n)
+        groups = {}
+        # the ids come from the word index, so the lists share its int
+        # objects rather than holding a fresh set per pass
+        for codes, vid in g.word_index.items():
+            mask, sub = key(codes)
+            group = groups.get(mask)
+            if group is None:
+                groups[mask] = group = {}
+            group[sub] = vid
+        lists = tuple([None] * len(g.vertices) for _ in fields)
+        for group in groups.values():
+            for sub, vid in group.items():
+                targets = records.get(sub)
+                if targets is None:
+                    record = _colour_one(tuple(sub))
+                    targets = records[sub] = [None if t is None else convert(t) for t in
+                                              (getattr(record, field) for field in fields)]
+                for field, out, target in zip(fields, lists, targets):
+                    if target is None:
+                        if field == "sigma":
+                            raise InvariantError(
+                                f"sigma_{i} fell off the crystal at {g.vertices[vid]}")
+                        continue
+                    dst = group.get(target)
+                    if dst is None:
+                        op = {"f": "F", "f_prime": "F'"}.get(field, field)
+                        raise InvariantError(f"{op}_{i} of {g.vertices[vid]} is not a vertex "
+                                             f"of B({g.shape},{g.n})")
+                    out[vid] = dst
+        yield i, lists
 
 
 def _colour_keys(i: int, n: int):
@@ -307,12 +306,7 @@ def interval_subgraph(g: CrystalGraph, p: int, q: int) -> CrystalGraph:
     """Same vertices, only the edges colored in [p, q-1]."""
     if not 1 <= p < q <= g.n:
         raise ValueError(f"need 1 <= p < q <= n, got ({p}, {q})")
-    sub = CrystalGraph(g.shape, g.n, g.vertices, (), colors=range(p, q))
-    for color, primed in sub.down:
-        if p <= color < q:
-            sub.down[color, primed] = g.down[color, primed][:]
-    sub._link()
-    return sub
+    return CrystalGraph(g.shape, g.n, g.vertices, (e for e in g.edges if p <= e[2] < q))
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +356,11 @@ def cactus_generators(n: int):
 
 
 def cactus_act(g: CrystalGraph, gen, T):
-    """s_{p,q} . T = eta_{p,q}(T); accepts a vertex id or tableau."""
+    """s_{p,q} . T = eta_{p,q}(T); accepts a vertex id (an int in [0, |V|)) or tableau."""
     p, q = gen
-    vid = T if isinstance(T, int) else g.vertex_id(T)
+    vid = g.vertex_id(T) if isinstance(T, ShiftedTableau) else T
+    if type(vid) is not int or not 0 <= vid < len(g.vertices):
+        raise ValueError(f"vertex id {vid!r} is not one of the graph's {len(g.vertices)} ids")
     return g.vertex_id(eta_interval(g.vertices[vid], p, q, g.n))
 
 

@@ -70,7 +70,7 @@ def run_braid(shape="5,3,1", n=3, max_vertices=None) -> dict:
     counts the (vertex, (i, i+1)) pairs examined.
     """
     g = vertex_graph(SkewShape.parse(str(shape)), n, max_vertices)
-    s = {i: target_ids(g, i, "sigma")[0] for i in range(1, n)}
+    s = {i: sigma for i, (sigma,) in target_ids(g, "sigma")}
     violations, words = [], _Words(g)
     for vid in range(len(g.vertices)):
         for i in range(1, n - 1):
@@ -199,7 +199,9 @@ def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) 
 
 
 def run_symmetry(bound="4,3,2,1") -> dict:
-    """f^lam_{mu nu} = f^{mu~}_{lam~ nu} with complements in the stair of lam_1."""
+    """f^lam_{mu nu} = f^{mu~}_{lam~ nu} with complements in the stair of lam_1.
+    "checked" counts ordered pairs, both sides: the default bound's 275 hold
+    189 distinct statements, 37 of them a coefficient against itself (mu = lam~)."""
     bound_p = StrictPartition.parse(str(bound))
     mismatches = []
     checked = 0

@@ -31,6 +31,7 @@ from shifted_crystal import graph as graph_module
 from shifted_crystal.core import InvariantError
 from shifted_crystal.graph import _colour_keys, _tuple_key, _walk_tables, target_ids, vertex_graph
 from shifted_crystal.operators import classify_string
+from shifted_crystal.verify import run_braid
 
 from oracles import component_isomorphic_to_straight, target_ids_by_write_back
 
@@ -145,8 +146,30 @@ def test_build_graph_rejects_a_target_one_letter_too_long(monkeypatch):
 def test_target_ids_match_the_write_back_oracle(shape, n):
     fields = ("f", "f_prime", "sigma")
     g = vertex_graph(SkewShape.parse(shape), n)
-    for i in range(1, n):
-        assert target_ids(g, i, *fields) == target_ids_by_write_back(g, i, *fields), i
+    colours = []
+    for i, lists in target_ids(g, *fields):
+        colours.append(i)
+        assert lists == target_ids_by_write_back(g, i, *fields), i
+    assert colours == list(range(1, n))
+
+
+@pytest.mark.parametrize("shape, n, distinct", [("2,1", 4, 11), ("6,4,1/3,1", 4, 359)])
+def test_one_record_request_per_distinct_subword(monkeypatch, shape, n, distinct):
+    # one table serves every colour, so build_graph and run_braid each ask
+    # _colour_one once per distinct {i, i+1} subword of the graph
+    real, calls = graph_module._colour_one, []
+
+    def counted(sub):
+        calls.append(sub)
+        return real(sub)
+
+    monkeypatch.setattr(graph_module, "_colour_one", counted)
+    g = build_graph(SkewShape.parse(shape), n)
+    subs = {T.interval_subword(i, i + 1, n) for T in g.vertices for i in range(1, n)}
+    assert len(calls) == len(subs) == distinct
+    calls.clear()
+    run_braid(shape, n)
+    assert len(calls) == distinct
 
 
 def test_colour_keys_cut_the_mask_and_the_subword():
@@ -362,6 +385,12 @@ def test_cactus_act_and_relations(graph_cache):
         assert any(vid in c.vertex_ids and w in c.vertex_ids for c in g.components)
     with pytest.raises(ValueError):
         cactus_act(g, (1, 2), yamanouchi((3,)))
+    # an id is an int in [0, |V|): no negative index, no bool
+    for vid in (0, len(g.vertices) - 1):
+        assert cactus_act(g, (1, 3), vid) == g.vertex_id(eta_interval(g.vertices[vid], 1, 3, 4))
+    for bad in (-1, len(g.vertices), True):
+        with pytest.raises(ValueError, match=rf"vertex id {bad!r} .* {len(g.vertices)} ids"):
+            cactus_act(g, (1, 3), bad)
 
 
 def test_verify_cactus_reports(graph_cache):
