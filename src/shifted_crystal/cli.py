@@ -9,6 +9,7 @@ error (an InvariantError: a fact the theory guarantees failed to hold).
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -92,13 +93,13 @@ def _cmd_eta(args):
 
 
 def _cmd_graph(args):
-    g = build_graph(SkewShape.parse(args.shape), args.n)
-    text = export_dot(g) if args.format == "dot" else export_json(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    shape = SkewShape.parse(args.shape)
+    # the output opens before the build, so a bad path fails at once; as with
+    # a shell redirection, a refused build leaves the file empty
+    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        g = build_graph(shape, args.n)
+        fh.write(export_dot(g) if args.format == "dot" else export_json(g))
     return 0
 
 

@@ -14,8 +14,9 @@ A tableau is stored once, as its shape plus its reading word; a shape maps
 each of its cells to its index in reading order, so the letter in a cell is
 one dictionary lookup away.  Tableaux, words and shapes hash on demand, as
 few of them are ever hashed.  Jeu de taquin and the primed operators both
-rebuild a word from its standardization and letter values, and share
-destandardize_codes for it.
+work on a word's standard form (standard_form): per standardization number,
+its letter value and its reading position.  They edit that pair and rebuild
+the word from it with destandardize_codes.
 
 Shapes that the library builds itself come from shared_shape, a bounded
 cache holding one SkewShape per (outer, inner) pair of part tuples; the
@@ -240,12 +241,13 @@ class SkewShape:
     """A shifted skew shape outer/inner with precomputed cell data.
 
     cells_reading lists the cells in reading order (rows bottom to top, left
-    to right); position maps each cell to its index in that list.  west and
-    north give, per reading index, the reading index of the cell to the
-    left and of the cell above, or None where that cell is not in the shape.
+    to right); position maps each cell to its index in that list.  west,
+    north and south give, per reading index, the reading index of the cell
+    to the left, above and below, or None where that cell is not in the
+    shape.
     """
 
-    __slots__ = ("outer", "inner", "cells_reading", "position", "west", "north")
+    __slots__ = ("outer", "inner", "cells_reading", "position", "west", "north", "south")
 
     def __init__(self, outer, inner=EMPTY_PARTITION):
         outer = StrictPartition(outer)
@@ -263,6 +265,7 @@ class SkewShape:
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "west", tuple(position.get((r, c - 1)) for r, c in cells))
         object.__setattr__(self, "north", tuple(position.get((r - 1, c)) for r, c in cells))
+        object.__setattr__(self, "south", tuple(position.get((r + 1, c)) for r, c in cells))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewShape is immutable")
@@ -344,18 +347,26 @@ def canonicalize_codes(codes) -> tuple:
     return tuple(out)
 
 
-def standardize_codes(codes) -> tuple:
-    """Standardization numbers, 1-based, one per position.
+def _standard_order(codes) -> list:
+    """Word positions by standardization number: letters from least to
+    greatest, equal primed ones right to left, equal unprimed ones left to
+    right (one integer key: the code, then the position, negated if primed)."""
+    m = 2 * len(codes)
+    return sorted(range(len(codes)), key=lambda j: codes[j] * m + (-j if codes[j] % 2 else j))
 
-    Letters are numbered from least to greatest; amongst equal letters the
-    primed copies are taken right to left, the unprimed ones left to right.
-    """
-    order = sorted(
-        range(len(codes)),
-        key=lambda j: (codes[j], -j if codes[j] % 2 else j),
-    )
+
+def standard_form(codes):
+    """(values, positions): positions[m] is the word position of
+    standardization number m + 1 and values[m] its letter value, the pair
+    destandardize_codes inverts.  Both are fresh lists."""
+    positions = _standard_order(codes)
+    return [(codes[j] + 1) // 2 for j in positions], positions
+
+
+def standardize_codes(codes) -> tuple:
+    """Standardization numbers, 1-based, one per position (_standard_order)."""
     std = [0] * len(codes)
-    for rank, j in enumerate(order, start=1):
+    for rank, j in enumerate(_standard_order(codes), start=1):
         std[j] = rank
     return tuple(std)
 
@@ -707,11 +718,7 @@ def _enumerate(shape: SkewShape, n: int, limit: int = None) -> tuple:
     if not cells:
         return (ShiftedTableau(shape, ()),)
     # reading positions of the west and south neighbours, both read earlier
-    west_of = shape.west
-    below_of = [None] * len(cells)
-    for k, north in enumerate(shape.north):
-        if north is not None:
-            below_of[north] = k
+    west_of, below_of = shape.west, shape.south
     last, top = len(cells) - 1, 2 * n
     results = []
     word = [0] * len(cells)

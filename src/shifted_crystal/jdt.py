@@ -1,14 +1,15 @@
 """Shifted jeu de taquin with replayable slide records, plus Knuth moves.
 
-Slides on semistandard tableaux are computed through standardization: the
-tableau is standardized, slides are performed with the classical rules for
-standard shifted tableaux (an inner hole swallows the smaller of its east
-and south neighbours, an outer hole the larger of its west and north
-neighbours), and the letters are de-standardized at the end.
-De-standardization keeps each standardization number on its original value
-and re-derives the primes of every value block as the unique split that
-yields a canonical word (core.destandardize_codes); this is what produces
-the prime-adjusting exceptional slides near the diagonal.
+Slides on semistandard tableaux run on the tableau's standard form
+(core.standard_form: each standardization number's letter value and reading
+position), each number placed in its cell through the shape's reading order.
+The slides follow the classical rules for standard shifted tableaux (an inner
+hole swallows the smaller of its east and south neighbours, an outer hole the
+larger of its west and north neighbours).  At the end the numbers' new
+reading positions and unchanged values are de-standardized
+(core.destandardize_codes), which re-derives the primes of every value block
+as the unique canonical split; this is what produces the prime-adjusting
+exceptional slides near the diagonal.
 
 While a batch of slides runs, the standard entries are held per row, 0 on
 an inner cell, so a row's length is its outer part; the inner parts are a
@@ -44,6 +45,7 @@ from .core import (
     letter,
     letter_value,
     shared_shape,
+    standard_form,
     standardize_codes,
 )
 
@@ -148,23 +150,20 @@ class _SlideState:
     rows[r - 1][k] is the standardization number of cell (r, r + k), or 0 on
     an inner cell, so len(rows[r - 1]) is the outer part of row r; inner is
     the list of inner parts; values[m] is the letter value carried by number
-    m + 1.  slide_in and slide_out take a row counted from 0.
+    m + 1.  Numbers go between cells and reading positions through the
+    shape's cells_reading.  slide_in and slide_out take a row counted from 0.
     """
 
     __slots__ = ("rows", "inner", "values", "steps")
 
     def __init__(self, T: ShiftedTableau):
-        std_word = standardize_codes(T.word_codes)
-        self.values = values = [0] * len(std_word)
-        for num, code in zip(std_word, T.word_codes):
-            values[num - 1] = (code + 1) // 2
-        self.inner = inner = list(T.shape.inner.parts)
-        self.rows = rows = []
-        end = len(std_word)  # the reading word lists the top row last
-        for r, part in enumerate(T.shape.outer.parts):
-            mu = inner[r] if r < len(inner) else 0
-            rows.append([0] * mu + list(std_word[end - part + mu:end]))
-            end -= part - mu
+        self.values, positions = standard_form(T.word_codes)
+        self.inner = list(T.shape.inner.parts)
+        self.rows = rows = [[0] * part for part in T.shape.outer.parts]
+        cells = T.shape.cells_reading
+        for num, k in enumerate(positions, start=1):
+            r, c = cells[k]
+            rows[r - 1][c - r] = num
         self.steps = []
 
     def copy(self) -> "_SlideState":
@@ -273,11 +272,8 @@ class _SlideState:
         rows, inner = self.rows, self.inner
         shape = shared_shape(tuple(len(row) for row in rows), tuple(inner))
         positions = [0] * shape.size
-        k = 0
-        for i in range(len(rows) - 1, -1, -1):
-            for num in rows[i][inner[i] if i < len(inner) else 0:]:
-                positions[num - 1] = k
-                k += 1
+        for k, (r, c) in enumerate(shape.cells_reading):
+            positions[rows[r - 1][c - r] - 1] = k
         codes = destandardize_codes(self.values, positions)
         if codes is None:
             raise InvariantError(f"no canonical prime split for {self.values} at {positions}")

@@ -42,10 +42,9 @@ from .core import (
     ShiftedTableau,
     Word,
     destandardize_codes,
-    letter_value,
-    standardize_codes,
     enumerate_tableaux,
     shared_shape,
+    standard_form,
 )
 from .jdt import rectify, strip_tableau, unrectify
 
@@ -80,16 +79,10 @@ def _check_color(i, n):
 def _revalue_word(w: Word, src: int, dst: int):
     """The unique word with the same standardization as w whose weight has
     one letter of value src moved to the adjacent value dst, or None."""
-    L = len(w.codes)
-    if L == 0:
+    if not w.codes:
         return None
-    std = standardize_codes(w.codes)
-    positions = [0] * L
-    values = [0] * L
-    for j, (m, x) in enumerate(zip(std, w.codes)):
-        positions[m - 1] = j
-        values[m - 1] = letter_value(x)
-    block = [m for m in range(L) if values[m] == src]
+    values, positions = standard_form(w.codes)
+    block = [m for m, v in enumerate(values) if v == src]
     if not block:
         return None
     # moving the boundary number keeps values weakly increasing by number
@@ -98,7 +91,7 @@ def _revalue_word(w: Word, src: int, dst: int):
     if codes is None:
         return None
     out = Word(codes, w.n)
-    if standardize_codes(out.codes) != std:
+    if standard_form(out.codes)[1] != positions:
         raise InvariantError(f"re-valuing of {w} changed the standardization")
     return out
 

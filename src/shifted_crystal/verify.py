@@ -277,7 +277,7 @@ def run_structure(bound="4,3,2,1", n=3, extra=(("2,1", 4), ("3,1", 3), ("3,2", 3
                 issues.append({"kind": "disconnected_straight",
                                "shape": str(shape), "n": k,
                                "components": len(g.components)})
-            else:
+            elif len(g.components[0].highest_ids) == 1:  # else an extremal_count
                 high = g.vertices[g.components[0].highest]
                 if high != yamanouchi(shape.outer):
                     issues.append({"kind": "highest_not_yamanouchi",

@@ -1,7 +1,11 @@
-"""Shared fixtures and the acceptance pass/fail summary hook."""
+"""Shared fixtures, the cache scan and the acceptance pass/fail summary hook."""
+
+import importlib
+import pkgutil
 
 import pytest
 
+import shifted_crystal
 from shifted_crystal import SkewShape, build_graph
 
 _acceptance_results = {}
@@ -42,3 +46,26 @@ def graph_cache():
         return cache[key]
 
     return get
+
+
+def module_caches():
+    """(qualified name, function) of every lru_cache bound at module level
+    in the package, found by scanning module globals."""
+    found = []
+    for info in pkgutil.iter_modules(shifted_crystal.__path__):
+        module = importlib.import_module(f"shifted_crystal.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_info", None)) and \
+                    getattr(obj, "__module__", None) == module.__name__:
+                found.append((f"{module.__name__}.{name}", obj))
+    return found
+
+
+@pytest.fixture(scope="module", autouse=True)
+def cold_caches_after_module():
+    """Empty every module-level cache after each test module, so that no
+    module sees the caches another one warmed and the results do not depend
+    on the order the modules run in."""
+    yield
+    for _, cached in module_caches():
+        cached.cache_clear()

@@ -3,13 +3,17 @@ compare against.  The piece route (on_piece) is the paper's definition of
 F_i, E_i, sigma_i and eta_{p,q} on the letters [p, q]'; the library acts on
 the interval subword instead.  target_ids_by_write_back is the colour-i
 target pass that writes each target back into the whole reading word and
-looks it up in the word index; graph.target_ids groups by mask instead."""
+looks it up in the word index; graph.target_ids groups by mask instead.
+jdt_tables gives each eta_{p,q} by jeu de taquin at every vertex, where
+graph._walk_tables carries it along the edges."""
 
 from shifted_crystal import (
     ShiftedTableau,
     SkewShape,
     StrictPartition,
     build_graph,
+    cactus_generators,
+    eta_interval,
     knuth_neighbors,
     rectify,
     unrectify,
@@ -185,3 +189,12 @@ def target_ids_by_write_back(g, i, *fields):
                 raise InvariantError(f"{op}_{i} of {T} is not a vertex of B({g.shape},{g.n})")
             targets.append(dst)
     return lists
+
+
+def jdt_tables(g):
+    """The definitional eta_{p,q} tables of graph._walk_tables: jeu de taquin
+    (eta_interval) at every vertex."""
+    return {
+        (p, q): [g.vertex_id(eta_interval(T, p, q, g.n)) for T in g.vertices]
+        for p, q in cactus_generators(g.n)
+    }

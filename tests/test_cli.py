@@ -89,6 +89,22 @@ def test_graph_command_formats(tmp_path):
     assert text1 == text2
 
 
+def test_graph_out_fails_before_the_build(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "build_graph", lambda *args: calls.append(args))
+    missing = tmp_path / "no" / "such" / "g.json"
+    assert main(["graph", "--shape", "2,1", "--n", "2", "--out", str(missing)]) == 2
+    assert calls == [] and str(missing) in capsys.readouterr().err
+
+
+def test_graph_refused_over_the_cap_leaves_an_empty_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "3")
+    out_file = tmp_path / "g.json"
+    assert main(["graph", "--shape", "2,1", "--n", "3", "--out", str(out_file)]) == 2
+    assert out_file.read_text(encoding="utf-8") == ""
+    assert "more than 3 vertices" in capsys.readouterr().err
+
+
 def test_verify_command_exit_codes():
     code, out = run_cli("verify", "cactus", "--shape", "2,1", "--n", "4")
     assert code == 0 and "no violations" in out

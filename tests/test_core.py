@@ -28,11 +28,13 @@ from shifted_crystal.core import (
     parse_letter,
     prime_split,
     shared_shape,
+    standard_form,
     standardize_codes,
     write_subword,
 )
 from shifted_crystal.involutions import star
 from shifted_crystal.operators import primed_lower
+from shifted_crystal.verify import _canonical_words
 
 from oracles import relabel, semistandard_by_marks, splice
 
@@ -170,6 +172,26 @@ def test_standardize_invariant_under_representatives(codes):
         assert standardize_codes(tuple(rep)) == std
 
 
+def _check_standard_form(codes):
+    values, positions = standard_form(codes)
+    assert destandardize_codes(values, positions) == codes
+    std = standardize_codes(codes)
+    assert [std[j] for j in positions] == list(range(1, len(codes) + 1)), codes
+
+
+def test_standard_form_round_trips_on_the_knuth_words():
+    # destandardize_codes inverts it, and standardize_codes is the inverse
+    # permutation of its positions
+    for w in _canonical_words(6, 3):
+        _check_standard_form(w.codes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(letter_codes(max_value=5, max_len=12))
+def test_standard_form_round_trips(codes):
+    _check_standard_form(canonicalize_codes(codes))
+
+
 def test_destandardize_codes_against_brute_force():
     # every (values by number, standardization) pair realized by words of
     # length <= 5 over [3]'; the oracle tries every prime assignment
@@ -291,6 +313,18 @@ def test_early_stop_is_a_prefix_of_the_enumeration():
                 full = enumerate_tableaux(shape, n)
                 for k in {1, 2, 7, len(full), len(full) + 1} - {0}:
                     assert _enumerate(shape, n, k) == full[:k], (shape, n, k)
+
+
+def test_south_is_the_cell_below():
+    # south inverts north: the cell below k is the one whose north is k
+    for lam in strict_partitions_inside((4, 3, 2, 1)):
+        for mu in strict_partitions_inside(lam):
+            shape = SkewShape(lam, mu)
+            below_of = [None] * shape.size
+            for k, north in enumerate(shape.north):
+                if north is not None:
+                    below_of[north] = k
+            assert shape.south == tuple(below_of), shape
 
 
 def _set_based_enumeration(shape, n, limit=None):

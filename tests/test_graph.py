@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from shifted_crystal import (
     CrystalGraph,
@@ -33,17 +34,9 @@ from shifted_crystal.graph import _colour_keys, _tuple_key, _walk_tables, target
 from shifted_crystal.operators import classify_string
 from shifted_crystal.verify import run_braid
 
-from oracles import component_isomorphic_to_straight, target_ids_by_write_back
+from oracles import component_isomorphic_to_straight, jdt_tables, target_ids_by_write_back
 
 DESK_GRAPHS = [("2,1", 4), ("3,1", 3), ("3,2", 3)]
-
-
-def _jdt_tables(g):
-    """The definitional oracle: eta_{p,q} by jeu de taquin at every vertex."""
-    return {
-        (p, q): [g.vertex_id(eta_interval(T, p, q, g.n)) for T in g.vertices]
-        for p, q in cactus_generators(g.n)
-    }
 
 
 def test_build_graph_golden_counts(graph_cache):
@@ -410,9 +403,35 @@ def test_walk_tables_match_jdt_oracle(graph_cache):
     for g in graphs:
         tables, anchors, violations = _walk_tables(g)
         assert violations == [], (g, violations[:3])
-        assert tables == _jdt_tables(g), g
+        assert tables == jdt_tables(g), g
         assert anchors == sum(len(interval_subgraph(g, p, q).components)
                               for p, q in cactus_generators(g.n))
+
+
+@st.composite
+def _random_shapes(draw):
+    """(lam/mu, n): lam strict with lam_1 <= 6 and at most three rows, mu
+    inside lam, and n in 2..4."""
+    lam = draw(st.sampled_from(strict_partitions_inside((6, 5, 4))))
+    mu = draw(st.sampled_from(strict_partitions_inside(lam)))
+    return SkewShape(lam, mu), draw(st.integers(2, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_random_shapes())
+def test_random_graphs_match_the_definitional_path(shape_n):
+    # the grouped colour pass against the write-back oracle, and the walked
+    # eta_{p,q} tables against jeu de taquin at every vertex
+    try:
+        g = build_graph(*shape_n, max_vertices=3000)
+    except ValueError:
+        assume(False)
+    fields = ("f", "f_prime", "sigma")
+    for i, lists in target_ids(g, *fields):
+        assert lists == target_ids_by_write_back(g, i, *fields), i
+    tables, _, violations = _walk_tables(g)
+    assert violations == []
+    assert tables == jdt_tables(g)
 
 
 def test_verify_cactus_reports_a_dropped_edge(graph_cache):
@@ -422,6 +441,18 @@ def test_verify_cactus_reports_a_dropped_edge(graph_cache):
         broken = CrystalGraph(g.shape, g.n, g.vertices, g.edges[:k] + g.edges[k + 1:])
         rep = verify_cactus(broken)
         assert rep["ok"] is False and rep["violations"], g.edges[k]
+
+
+def test_walk_tables_reports_a_conflict():
+    # B((2,1),3)'s solid colour-2 edge 1 -> 3 redirected into a loop at 1:
+    # eta_{1,3} then reaches 1 with two values
+    g = build_graph(SkewShape.parse("2,1"), 3)
+    assert (1, 3, 2, False) in g.edges
+    edges = [(1, 1, 2, False) if e == (1, 3, 2, False) else e for e in g.edges]
+    rep = verify_cactus(CrystalGraph(g.shape, g.n, g.vertices, edges))
+    assert [v for v in rep["violations"] if v["kind"] == "conflict"] == [
+        {"kind": "conflict", "params": {"p": 1, "q": 3}, "witness": 1, "witness_word": "2 1 2'"}]
+    assert not rep["ok"]
 
 
 def test_verify_cactus_reports_a_wrong_anchor(graph_cache, monkeypatch):

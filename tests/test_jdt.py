@@ -110,6 +110,17 @@ def test_unrectify_mismatch_errors():
         unrectify(yamanouchi((2,)), rec.reversed())
 
 
+def test_unrectify_reports_a_slide_that_ends_elsewhere():
+    # the record's outer slide starts at (2, 2), an addable cell of 2/1 too,
+    # but there the hole stops outside the inner cell, at (1, 2)
+    _, rec = rectify(ShiftedTableau.parse("2,1/1", "1' / 1"))
+    assert rec == SlideRecord([("inner", (1, 1), (2, 2))])
+    with pytest.raises(ValueError) as exc:
+        unrectify(ShiftedTableau.parse("2/1", "1"), rec)
+    assert str(exc.value) == ("record does not match tableau: outer slide from (2, 2) "
+                              "ended at (1, 2), expected (1, 1)")
+
+
 def test_replay_checks_the_corners_it_is_given():
     T = ShiftedTableau.parse("2,1/1", "1 / 2")
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from shifted_crystal import (
+    CrystalGraph,
     ShiftedTableau,
     SkewShape,
     StrictPartition,
@@ -19,6 +20,7 @@ from shifted_crystal import (
     sigma,
     strict_partitions_inside,
     verify,
+    yamanouchi,
 )
 from shifted_crystal.core import InvariantError, Word, canonicalize_codes
 from shifted_crystal.operators import StringDescriptor
@@ -181,6 +183,32 @@ def test_run_knuth_reports_order_dependence(monkeypatch):
     assert {v["kind"] for v in rep["violations"]} == {"order_dependent"}
 
 
+# the words "", "1", "1 1'" and "1 1" over [1]', and the three tableaux over
+# [1]' on the shapes inside (1)
+_TINY_KNUTH = dict(max_len=2, values=1, bound="1", n_max=1, orders=1)
+
+
+def test_run_knuth_reports_an_escaped_neighbour(monkeypatch):
+    real = verify.knuth_neighbors
+    monkeypatch.setattr(verify, "knuth_neighbors", lambda w: real(w) | {Word.parse("3")}
+                        if w.codes == (2,) else real(w))
+    rep = run_knuth(**_TINY_KNUTH)
+    assert rep["violations"] == [{"kind": "escaped", "word": "1", "to": "3"}]
+    assert not rep["ok"]
+
+
+def test_run_knuth_reports_rectifications_that_split_or_join_classes(monkeypatch):
+    # "1 1'" is made to rectify like "1": its class, with "1 1", then has
+    # two rectifications, and that rectification two classes
+    real = verify.rectify
+    monkeypatch.setattr(verify, "rectify", lambda T: (yamanouchi((1,)), real(T)[1])
+                        if T.word_codes == (2, 1) else real(T))
+    rep = run_knuth(**_TINY_KNUTH)
+    assert rep["violations"] == [{"kind": "rect_two_classes", "word": "1 1'"},
+                                 {"kind": "class_two_rects", "word": "1 1"}]
+    assert not rep["ok"]
+
+
 def test_order_dependent_returns_the_differing_tableau(monkeypatch):
     T = ShiftedTableau.parse("4,3/3,1", "2 / 1 3")
     _swap_top_numbers_away_from_the_first_corner(monkeypatch)
@@ -289,6 +317,48 @@ def test_structure_classifies_each_string_once(monkeypatch):
     issues = _structure_issues(g)
     assert {x["kind"] for x in issues} == {"string_members"}
     assert len(issues) == sum(1 for _, comp in strings if len(comp) > 1)
+
+
+def _structure_with_edges(monkeypatch, edges):
+    """run_structure inside (2) at n = 2, with B((2),2)'s edges replaced:
+    its vertices are 0 = "1 1", 1 = "1 2" and 2 = "2 2"."""
+    real = verify.build_graph
+
+    def build(shape, n):
+        g = real(shape, n)
+        return CrystalGraph(g.shape, n, g.vertices, edges) if shape == SkewShape((2,)) else g
+
+    monkeypatch.setattr(verify, "build_graph", build)
+    return run_structure(bound="2", n=2, extra=())
+
+
+def test_run_structure_reports_two_highest_elements(monkeypatch):
+    # 0 and 1 both lower to 2: one component with two highest elements,
+    # reported once and not asked for its highest element
+    rep = _structure_with_edges(monkeypatch, [(0, 2, 1, False), (1, 2, 1, True)])
+    assert rep["violations"] == [{"kind": "extremal_count", "shape": "2/", "n": 2,
+                                  "highest": 2, "lowest": 1}]
+    assert not rep["ok"]
+
+
+def test_run_structure_reports_a_disconnected_straight_graph(monkeypatch):
+    rep = _structure_with_edges(monkeypatch, [(1, 2, 1, False), (1, 2, 1, True)])
+    string = {"kind": "string_members", "shape": "2/", "n": 2, "color": 1, "members": 3}
+    assert rep["violations"] == [
+        {**string, "tableau": "1 1", "component": 1},
+        {**string, "tableau": "1 2", "component": 2},
+        {"kind": "disconnected_straight", "shape": "2/", "n": 2, "components": 2},
+    ]
+    assert not rep["ok"]
+
+
+def test_run_structure_reports_a_highest_element_off_yamanouchi(monkeypatch):
+    real = verify.yamanouchi
+    monkeypatch.setattr(verify, "yamanouchi",
+                        lambda nu: real((1,)) if nu == (2,) else real(nu))
+    rep = run_structure(bound="2", n=2, extra=())
+    assert rep["violations"] == [{"kind": "highest_not_yamanouchi", "shape": "2/", "n": 2}]
+    assert not rep["ok"]
 
 
 def test_failing_reports_keep_the_contract(monkeypatch):
