@@ -21,7 +21,8 @@ the word from it with destandardize_codes.
 Shapes that the library builds itself come from shared_shape, a bounded
 cache holding one SkewShape per (outer, inner) pair of part tuples; the
 SkewShape constructor still builds a fresh one.  Enumerations are not
-cached, and build_graph stops its enumeration at cap + 1 tableaux.  The
+cached.  One may be restricted to a content, which the Littlewood-Richardson
+counts use, and build_graph and those counts stop it at cap + 1 tableaux.  The
 enumerator and ShiftedTableau.check test each letter against the neighbours
 in its row and column only: rows and columns of a shifted skew shape are
 contiguous and weakly increasing, so a second v' in a row, or a second
@@ -703,9 +704,11 @@ def _leaf(shape, word, new=object.__new__, set_shape=ShiftedTableau.shape.__set_
     return T
 
 
-def _enumerate(shape: SkewShape, n: int, limit: int = None) -> tuple:
+def _enumerate(shape: SkewShape, n: int, limit: int = None, content=None) -> tuple:
     """enumerate_tableaux(shape, n), or its first limit tableaux when limit
-    (at least 1) is given: the search unwinds once it has that many.
+    (at least 1) is given: the search unwinds once it has that many.  Given
+    content, n letter counts summing to the shape's size, only the tableaux
+    of that weight, in the same order: a code's value, once full, is skipped.
 
     Code x fits when west <= x <= south (both read before it), a primed x
     differs from west and its value is already placed unprimed, and an
@@ -735,6 +738,10 @@ def _enumerate(shape: SkewShape, n: int, limit: int = None) -> tuple:
                     continue
             elif code == s:
                 continue
+            if content is not None:
+                v = (code + 1) // 2
+                if placed[2 * v - 1] + placed[2 * v] >= content[v - 1]:
+                    continue
             if prefix is not None:
                 results.append(_leaf(shape, prefix + (code,)))
                 if len(results) == limit:

@@ -26,8 +26,8 @@ from .core import (
     StrictPartition,
     Word,
     _enumerate,
-    enumerate_tableaux,
     shared_shape,
+    strict_partitions_of,
     word_str,
 )
 from .involutions import eta_interval
@@ -201,16 +201,19 @@ def _vertex_cap(max_vertices):
     return source, cap
 
 
-def vertex_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGraph:
-    """The crystal's vertices on a shape, with no edges.
-
-    Enumeration stops at cap + 1 tableaux, so a refusal costs little.
-    """
+def _capped(shape: SkewShape, n: int, max_vertices: int = None, content=None) -> tuple:
+    """_enumerate(shape, n, content=content), refused past the vertex cap:
+    the enumeration stops at cap + 1 tableaux, so a refusal costs little."""
     source, cap = _vertex_cap(max_vertices)
-    vertices = _enumerate(shape, n, cap + 1)
-    if len(vertices) > cap:
+    tableaux = _enumerate(shape, n, cap + 1, content)
+    if len(tableaux) > cap:
         raise ValueError(f"more than {cap} vertices; raise {source} to override")
-    return CrystalGraph(shape, n, vertices, ())
+    return tableaux
+
+
+def vertex_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGraph:
+    """The crystal's vertices on a shape (_capped), with no edges."""
+    return CrystalGraph(shape, n, _capped(shape, n, max_vertices), ())
 
 
 def build_graph(shape: SkewShape, n: int, max_vertices: int = None) -> CrystalGraph:
@@ -313,19 +316,20 @@ def interval_subgraph(g: CrystalGraph, p: int, q: int) -> CrystalGraph:
 # Littlewood-Richardson counting
 
 @functools.lru_cache(maxsize=1024)
-def _lrs_weight_counts(outer_parts, inner_parts, n):
-    counts = {}
+def _lrs_count(outer_parts, inner_parts, nu_parts) -> int:
+    """The number of LRS tableaux (is_lrs) of shape outer/inner and content
+    nu, enumerating only those, under the vertex cap (a cached count skips it)."""
     shape = shared_shape(outer_parts, inner_parts)
-    for T in enumerate_tableaux(shape, n):
-        if is_lrs(T):
-            wt = T.weight(n)
-            counts[wt] = counts.get(wt, 0) + 1
-    return counts
+    return sum(map(is_lrs, _capped(shape, len(nu_parts), content=nu_parts)))
 
 
 def lrs_weight_counts(shape: SkewShape, n: int) -> dict:
-    """Weight -> number of LRS tableaux of that weight on the shape."""
-    return dict(_lrs_weight_counts(shape.outer.parts, shape.inner.parts, n))
+    """Weight -> number of LRS tableaux of that weight on the shape over [n]' (lrs_count)."""
+    if n < 0:
+        raise ValueError("alphabet bound must be non-negative")
+    counts = {nu.parts + (0,) * (n - len(nu)): lrs_count(shape.outer, shape.inner, nu)
+              for nu in strict_partitions_of(shape.size) if len(nu) <= n}
+    return {wt: count for wt, count in counts.items() if count}
 
 
 def lrs_count(lam, mu, nu) -> int:
@@ -342,10 +346,7 @@ def lrs_count(lam, mu, nu) -> int:
         return 0
     if not lam.contains(mu) or lam.size != mu.size + nu.size:
         return 0
-    if not nu:
-        return 1 if lam == mu else 0
-    counts = _lrs_weight_counts(lam.parts, mu.parts, len(nu))
-    return counts.get(tuple(nu.parts), 0)
+    return _lrs_count(lam.parts, mu.parts, nu.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ the interval subword instead.  target_ids_by_write_back is the colour-i
 target pass that writes each target back into the whole reading word and
 looks it up in the word index; graph.target_ids groups by mask instead.
 jdt_tables gives each eta_{p,q} by jeu de taquin at every vertex, where
-graph._walk_tables carries it along the edges."""
+graph._walk_tables carries it along the edges.  lrs_weight_counts_by_rectifying
+rectifies every tableau of a shape, whatever its weight, where graph's LR
+counts rectify only the tableaux of the weight asked for."""
 
 from shifted_crystal import (
     ShiftedTableau,
@@ -13,7 +15,9 @@ from shifted_crystal import (
     StrictPartition,
     build_graph,
     cactus_generators,
+    enumerate_tableaux,
     eta_interval,
+    is_lrs,
     knuth_neighbors,
     rectify,
     unrectify,
@@ -198,3 +202,14 @@ def jdt_tables(g):
         (p, q): [g.vertex_id(eta_interval(T, p, q, g.n)) for T in g.vertices]
         for p, q in cactus_generators(g.n)
     }
+
+
+def lrs_weight_counts_by_rectifying(shape: SkewShape, n: int) -> dict:
+    """graph.lrs_weight_counts by rectifying every tableau of the shape over
+    [n]' (is_lrs) and tallying the weights of the LRS ones."""
+    counts = {}
+    for T in enumerate_tableaux(shape, n):
+        if is_lrs(T):
+            wt = T.weight(n)
+            counts[wt] = counts.get(wt, 0) + 1
+    return counts

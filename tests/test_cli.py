@@ -187,6 +187,17 @@ def test_vertex_cap_from_the_environment_refuses_early(monkeypatch, capsys):
         "", "error: more than 1000 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override\n")
 
 
+def test_lrs_count_command_under_the_vertex_cap(monkeypatch, capsys):
+    argv = ["lrs-count", "--lambda", "9,7,5,3,1", "--mu", "3,1", "--nu", "8,6,4,2,1"]
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "100")
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: more than 100 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override\n")
+    monkeypatch.delenv("SHIFTED_CRYSTAL_MAX_VERTICES")
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("8\n", "")
+
+
 def test_vertex_cap_from_max_size_names_its_source(monkeypatch, capsys):
     # the variable is set but does not set the cap, so raising it would not help
     monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "100000")

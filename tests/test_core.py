@@ -315,6 +315,20 @@ def test_early_stop_is_a_prefix_of_the_enumeration():
                     assert _enumerate(shape, n, k) == full[:k], (shape, n, k)
 
 
+def test_enumeration_by_content_is_the_weight_filter():
+    # every weight of the shape's size with n parts, those no tableau has
+    # included: the tableaux of that content, in enumeration order
+    for lam in strict_partitions_inside((4, 3, 2, 1)):
+        for mu in strict_partitions_inside(lam):
+            shape = SkewShape(lam, mu)
+            for n in range(4):
+                full = enumerate_tableaux(shape, n)
+                for wt in itertools.product(range(shape.size + 1), repeat=n):
+                    if sum(wt) == shape.size:
+                        want = tuple(T for T in full if T.weight(n) == wt)
+                        assert _enumerate(shape, n, content=wt) == want, (shape, wt)
+
+
 def test_south_is_the_cell_below():
     # south inverts north: the cell below k is the one whose north is k
     for lam in strict_partitions_inside((4, 3, 2, 1)):

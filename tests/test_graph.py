@@ -20,8 +20,10 @@ from shifted_crystal import (
     export_json,
     graph_from_json,
     interval_subgraph,
+    is_highest,
     is_lrs,
     lrs_count,
+    lrs_weight_counts,
     strict_partitions_inside,
     strict_partitions_of,
     verify_cactus,
@@ -34,7 +36,12 @@ from shifted_crystal.graph import _colour_keys, _tuple_key, _walk_tables, target
 from shifted_crystal.operators import classify_string
 from shifted_crystal.verify import run_braid
 
-from oracles import component_isomorphic_to_straight, jdt_tables, target_ids_by_write_back
+from oracles import (
+    component_isomorphic_to_straight,
+    jdt_tables,
+    lrs_weight_counts_by_rectifying,
+    target_ids_by_write_back,
+)
 
 DESK_GRAPHS = [("2,1", 4), ("3,1", 3), ("3,2", 3)]
 
@@ -365,6 +372,60 @@ def test_lrs_count_examples():
         assert lrs_count((3, 1), (1,), nu) == 0, nu
 
 
+def test_lrs_count_matches_the_rectifying_oracle():
+    # lrs_count rectifies only the tableaux of content nu; the oracle
+    # rectifies every tableau over [len(nu)]' and tallies the LRS weights
+    oracle = {}
+    triples = 0
+    for lam in strict_partitions_inside((5, 3, 2, 1)):
+        for mu in strict_partitions_inside(lam):
+            shape = SkewShape(lam, mu)
+            for nu in strict_partitions_of(shape.size):
+                key = (shape, len(nu))
+                if key not in oracle:
+                    oracle[key] = lrs_weight_counts_by_rectifying(shape, len(nu))
+                assert lrs_count(lam, mu, nu) == oracle[key].get(nu.parts, 0), (lam, mu, nu)
+                triples += 1
+    assert triples == 613
+
+
+def test_lrs_weight_counts_match_the_rectifying_oracle():
+    pairs = 0
+    for lam in strict_partitions_inside((4, 3, 2, 1)):
+        for mu in strict_partitions_inside(lam):
+            shape = SkewShape(lam, mu)
+            for n in range(4):
+                assert lrs_weight_counts(shape, n) == lrs_weight_counts_by_rectifying(shape, n), \
+                    (shape, n)
+                pairs += 1
+    assert pairs == 504
+    with pytest.raises(ValueError, match="non-negative"):
+        lrs_weight_counts(SkewShape.parse("2,1"), -1)
+
+
+def test_lrs_count_past_the_cap_builds_at_most_cap_plus_one_tableaux(monkeypatch):
+    # B((9,7,5,3,1)/(3,1),5) has more than 2 000 000 tableaux, 904 of them of
+    # content (8,6,4,2,1): only those are enumerated, and past the cap only
+    # cap + 1 of them
+    lam, mu, nu = (9, 7, 5, 3, 1), (3, 1), (8, 6, 4, 2, 1)
+    built, leaf = [0], core_module._leaf
+
+    def counted_leaf(*args):
+        built[0] += 1
+        return leaf(*args)
+
+    monkeypatch.setattr(core_module, "_leaf", counted_leaf)
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "100")
+    with pytest.raises(ValueError) as exc:
+        lrs_count(lam, mu, nu)
+    assert str(exc.value) == "more than 100 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override"
+    assert 0 < built[0] <= 101
+    monkeypatch.delenv("SHIFTED_CRYSTAL_MAX_VERTICES")
+    assert lrs_count(lam, mu, nu) == 8
+    # its symmetry mirror, complements in the staircase of lam_1 = 9
+    assert lrs_count((9, 8, 7, 6, 5, 4, 2), (8, 6, 4, 2), nu) == 8
+
+
 def test_cactus_act_and_relations(graph_cache):
     g = graph_cache("2,1", 4)
     for vid in range(len(g.vertices)):
@@ -432,6 +493,20 @@ def test_random_graphs_match_the_definitional_path(shape_n):
     tables, _, violations = _walk_tables(g)
     assert violations == []
     assert tables == jdt_tables(g)
+    # the highest elements are the is_highest vertices, each LRS, and the
+    # components of highest weight nu number lrs_count(lam, mu, nu)
+    shape, n = shape_n
+    by_weight = {}
+    for comp in g.components:
+        assert comp.highest_ids == tuple(v for v in comp.vertex_ids
+                                         if is_highest(g.vertices[v], n))
+        assert all(is_lrs(g.vertices[v]) for v in comp.highest_ids)
+        wt = g.vertices[comp.highest].weight(n)
+        by_weight[wt] = by_weight.get(wt, 0) + 1
+    for nu in strict_partitions_of(shape.size):
+        if len(nu) <= n:
+            wt = nu.parts + (0,) * (n - len(nu))
+            assert by_weight.get(wt, 0) == lrs_count(shape.outer, shape.inner, nu), nu
 
 
 def test_verify_cactus_reports_a_dropped_edge(graph_cache):
