@@ -315,14 +315,6 @@ def interval_subgraph(g: CrystalGraph, p: int, q: int) -> CrystalGraph:
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson counting
 
-@functools.lru_cache(maxsize=1024)
-def _lrs_count(outer_parts, inner_parts, nu_parts) -> int:
-    """The number of LRS tableaux (is_lrs) of shape outer/inner and content
-    nu, enumerating only those, under the vertex cap (a cached count skips it)."""
-    shape = shared_shape(outer_parts, inner_parts)
-    return sum(map(is_lrs, _capped(shape, len(nu_parts), content=nu_parts)))
-
-
 def lrs_weight_counts(shape: SkewShape, n: int) -> dict:
     """Weight -> number of LRS tableaux of that weight on the shape over [n]' (lrs_count)."""
     if n < 0:
@@ -333,10 +325,12 @@ def lrs_weight_counts(shape: SkewShape, n: int) -> dict:
 
 
 def lrs_count(lam, mu, nu) -> int:
-    """Number of LRS tableaux of shape lam/mu and weight nu.
+    """Number of LRS tableaux (is_lrs) of shape lam/mu and weight nu.
 
     Zero whenever the sizes mismatch, mu is not contained in lam, or nu, less
     trailing zeros, is not strict (no Yamanouchi tableau to rectify to).
+    Otherwise only the tableaux of content nu are enumerated, under the
+    vertex cap (_capped), which every call reads and enforces.
     """
     lam = StrictPartition(lam)
     mu = StrictPartition(mu)
@@ -346,7 +340,7 @@ def lrs_count(lam, mu, nu) -> int:
         return 0
     if not lam.contains(mu) or lam.size != mu.size + nu.size:
         return 0
-    return _lrs_count(lam.parts, mu.parts, nu.parts)
+    return sum(map(is_lrs, _capped(shared_shape(lam.parts, mu.parts), len(nu), content=nu.parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,19 @@ def test_tableau_constructor_always_checks():
         ShiftedTableau(SkewShape.parse("2"), (4, 2))
 
 
+def test_tableau_constructor_refuses_a_word_off_the_shape_or_below_one():
+    shape = SkewShape.parse("2,1")
+    with pytest.raises(ValueError) as exc:
+        ShiftedTableau(shape, (1, 1))
+    assert str(exc.value) == "word length does not match shape size"
+    with pytest.raises(ValueError) as exc:
+        ShiftedTableau(shape, (3, 0, 1))
+    assert str(exc.value) == "bad letter code 0"
+    with pytest.raises(ValueError) as exc:
+        ShiftedTableau(SkewShape.parse("1"), (-1,))
+    assert str(exc.value) == "bad letter code -1"
+
+
 def test_restrict_examples():
     T = ShiftedTableau.parse("2,1", "1 2' / 2")
     R = T.restrict(2, 2)

@@ -21,6 +21,7 @@ from shifted_crystal import (
     graph_from_json,
     interval_subgraph,
     is_highest,
+    is_lowest,
     is_lrs,
     lrs_count,
     lrs_weight_counts,
@@ -426,6 +427,29 @@ def test_lrs_count_past_the_cap_builds_at_most_cap_plus_one_tableaux(monkeypatch
     assert lrs_count((9, 8, 7, 6, 5, 4, 2), (8, 6, 4, 2), nu) == 8
 
 
+def test_lrs_count_reads_the_vertex_cap_on_every_call(monkeypatch):
+    # a count made uncapped is made again under each later cap: no call
+    # returns a count without enumerating under the cap it reads
+    lam, mu, nu = (9, 7, 5, 3, 1), (3, 1), (8, 6, 4, 2, 1)
+    assert lrs_count(lam, mu, nu) == 8
+    built, leaf = [0], core_module._leaf
+
+    def counted_leaf(*args):
+        built[0] += 1
+        return leaf(*args)
+
+    monkeypatch.setattr(core_module, "_leaf", counted_leaf)
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "100")
+    with pytest.raises(ValueError) as exc:
+        lrs_count(lam, mu, nu)
+    assert str(exc.value) == "more than 100 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override"
+    assert 0 < built[0] <= 101
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "abc")
+    with pytest.raises(ValueError) as exc:
+        lrs_count(lam, mu, nu)
+    assert str(exc.value) == "SHIFTED_CRYSTAL_MAX_VERTICES must be a non-negative integer, got 'abc'"
+
+
 def test_cactus_act_and_relations(graph_cache):
     g = graph_cache("2,1", 4)
     for vid in range(len(g.vertices)):
@@ -493,13 +517,16 @@ def test_random_graphs_match_the_definitional_path(shape_n):
     tables, _, violations = _walk_tables(g)
     assert violations == []
     assert tables == jdt_tables(g)
-    # the highest elements are the is_highest vertices, each LRS, and the
-    # components of highest weight nu number lrs_count(lam, mu, nu)
+    # the highest elements are the is_highest vertices, each LRS, the lowest
+    # the is_lowest vertices, and the components of highest weight nu number
+    # lrs_count(lam, mu, nu)
     shape, n = shape_n
     by_weight = {}
     for comp in g.components:
         assert comp.highest_ids == tuple(v for v in comp.vertex_ids
                                          if is_highest(g.vertices[v], n))
+        assert comp.lowest_ids == tuple(v for v in comp.vertex_ids
+                                        if is_lowest(g.vertices[v], n))
         assert all(is_lrs(g.vertices[v]) for v in comp.highest_ids)
         wt = g.vertices[comp.highest].weight(n)
         by_weight[wt] = by_weight.get(wt, 0) + 1
@@ -507,6 +534,26 @@ def test_random_graphs_match_the_definitional_path(shape_n):
         if len(nu) <= n:
             wt = nu.parts + (0,) * (n - len(nu))
             assert by_weight.get(wt, 0) == lrs_count(shape.outer, shape.inner, nu), nu
+    # the JSON export reads back to the same vertices and down lists
+    back = graph_from_json(export_json(g))
+    assert back.vertices == g.vertices and back.down == g.down
+
+
+def test_component_refuses_a_second_highest_or_lowest_element(graph_cache):
+    # B((2,1),4) is one component; without F'_1 0 -> 1 it has two highest
+    # elements, and without F'_1 10 -> 13 two lowest
+    g = graph_cache("2,1", 4)
+    cases = [((0, 1, 1, True), "highest", (0, 1), "lowest", 15),
+             ((10, 13, 1, True), "lowest", (10, 15), "highest", 0)]
+    for dropped, twice, ids, once, single in cases:
+        edges = [e for e in g.edges if e != dropped]
+        assert len(edges) == len(g.edges) - 1
+        (comp,) = CrystalGraph(g.shape, g.n, g.vertices, edges).components
+        assert getattr(comp, f"{twice}_ids") == ids
+        with pytest.raises(ValueError) as exc:
+            getattr(comp, twice)
+        assert str(exc.value) == f"component has 2 {twice} elements"
+        assert getattr(comp, once) == single
 
 
 def test_verify_cactus_reports_a_dropped_edge(graph_cache):

@@ -364,6 +364,11 @@ def test_highest_lowest_and_programs():
         sigma(Y, 3, 3)
 
 
+def test_operator_programs_skip_empty_tokens():
+    assert parse_operator_program("F1,,S1,") == [("F", 1, False), ("S", 1, False)]
+    assert parse_operator_program(" , ,") == []
+
+
 def test_unique_highest_is_yamanouchi_on_straight():
     for nu in strict_partitions_inside(StrictPartition.parse("3,2,1")):
         if not nu:
