@@ -29,8 +29,9 @@ from .core import (
     shared_shape,
     strict_partitions_of,
     word_str,
+    write_subword,
 )
-from .involutions import eta_interval
+from .involutions import _reversed_subword, eta_interval
 from .jdt import is_lrs
 from .operators import _colour_one
 from .operators import unprimed_lower  # noqa: F401 (bound for perfbench/test_harness.py)
@@ -151,6 +152,7 @@ class CrystalGraph:
         keys = [(color, primed) for color in colors for primed in (False, True)]
         downs, ups = [self.down[key] for key in keys], [self.up[key] for key in keys]
         links = downs + ups
+        highest, lowest = _unlinked(ups, len(self.vertices)), _unlinked(downs, len(self.vertices))
         seen = [False] * len(self.vertices)
         comps = []
         for start in range(len(self.vertices)):
@@ -167,9 +169,8 @@ class CrystalGraph:
                         seen[u] = True
                         stack.append(u)
             ids.sort()
-            highest = [v for v in ids if all(up[v] is None for up in ups)]
-            lowest = [v for v in ids if all(down[v] is None for down in downs)]
-            comps.append(Component(ids, highest, lowest))
+            comps.append(Component(ids, [v for v in ids if highest[v]],
+                                   [v for v in ids if lowest[v]]))
         return tuple(comps)
 
     def __repr__(self):
@@ -181,6 +182,16 @@ def _repeats(edge) -> str:
     src, dst, color, primed = edge
     kind = "dashed" if primed else "solid"
     return f"edge {edge} repeats a vertex's {kind} colour-{color} edge"
+
+
+def _unlinked(lists, size: int) -> list:
+    """Per vertex id, True where every one of these id lists holds None: with
+    the up lists of a set of colours, the highest elements of its
+    subgraph; with the down lists, the lowest."""
+    if not lists:
+        return [True] * size
+    empty = (None,) * len(lists)
+    return list(map(empty.__eq__, zip(*lists)))
 
 
 def _edge_count(g: CrystalGraph) -> int:
@@ -372,73 +383,151 @@ class _Words(dict):
         return word
 
 
+def _eta_word(T: ShiftedTableau, p: int, q: int, n: int) -> tuple:
+    """eta_interval(T, p, q, n)'s reading word, with no tableau built or checked."""
+    return write_subword(T.word_codes, p, q,
+                         _reversed_subword(q - p + 1, T.interval_subword(p, q, n)))
+
+
 def _walk_tables(g: CrystalGraph):
     """Each generator as a vertex-id array, carried along the graph's edges.
 
     On every [p,q]-interval component eta_{p,q} sends the highest element
-    to the lowest one, which is checked against jeu de taquin (one
-    eta_interval call per component), and eta(F_i x) = E_{p+q-1-i} eta(x)
-    carries it along solid and dashed edges alike.  Returns (tables,
-    anchors, violations); an entry the walk could not fix stays None.
+    to the lowest one, and eta(F_i x) = E_{p+q-1-i} eta(x) carries it along
+    solid and dashed edges alike.  Each generator is first walked down from
+    its highest elements, each anchored on its eta word's id (_walk_down);
+    where that walk gives up, the generator is walked again component by
+    component (_walk_components), which records the violations.  Returns
+    (tables, anchors, violations); an entry the walk could not fix stays
+    None.
     """
     tables, anchors, violations = {}, 0, []
-
-    def fail(kind, p, q, vid, **details):
-        violations.append({"kind": kind, "params": {"p": p, "q": q}, **details,
-                           "witness": vid})
-
     for p, q in cactus_generators(g.n):
         # the [p,q]-interval subgraph read from g's own id lists;
         # interval_subgraph would copy them once per generator
-        colors = range(p, q)
         moves = [(color, primed, g.down[color, primed], g.up[p + q - 1 - color, primed])
-                 for color in colors for primed in (False, True)]
-        t = [None] * len(g.vertices)
-        for comp in g.components_in(colors):
-            if len(comp.highest_ids) != 1 or len(comp.lowest_ids) != 1:
-                fail("extremal_count", p, q, comp.vertex_ids[0],
-                     highest=len(comp.highest_ids), lowest=len(comp.lowest_ids))
-                continue
-            high, low = comp.highest, comp.lowest
-            anchors += 1
-            if eta_interval(g.vertices[high], p, q, g.n) != g.vertices[low]:
-                fail("anchor", p, q, high)
-            t[high] = low
-            stack = [high]
-            while stack:
-                v = stack.pop()
-                for color, primed, down, mirrored_up in moves:
-                    u = down[v]
-                    if u is None:
-                        continue
-                    w = mirrored_up[t[v]]
-                    if w is None:
-                        fail("missing_edge", p, q, v, color=color, primed=primed)
-                    elif t[u] is None:
-                        t[u] = w
-                        stack.append(u)
-                    elif t[u] != w:
-                        fail("conflict", p, q, u)
-            for vid in comp.vertex_ids:
-                if t[vid] is None:
-                    fail("unreached", p, q, vid)
-        tables[(p, q)] = t
+                 for color in range(p, q) for primed in (False, True)]
+        walked = _walk_down(g, p, q, moves)
+        if walked is None:
+            walked = _walk_components(g, p, q, moves, violations)
+        tables[(p, q)], count = walked
+        anchors += count
     return tables, anchors, violations
+
+
+def _walk_down(g: CrystalGraph, p: int, q: int, moves):
+    """(table, anchors) of eta_{p,q}, walked down from each highest element
+    h of the [p,q]-interval subgraph with h's entry the id of its eta word
+    (_eta_word); no tableau is built or checked, since the word index holds
+    only vertices.  None, to give up, where the highest and lowest elements
+    differ in number, an eta word is not the id of a lowest element that
+    h's own walk reaches, a mirrored edge is missing, an entry conflicts,
+    two walks meet, or a vertex stays unreached.  Otherwise each walk covers
+    one component, with one highest and one lowest element, and the table
+    is the one _walk_components would give without a violation."""
+    size = len(g.vertices)
+    highest = _unlinked([g.up[color, primed] for color, primed, _, _ in moves], size)
+    lowest = _unlinked([down for _, _, down, _ in moves], size)
+    highs = list(itertools.compress(range(size), highest))
+    if len(highs) != lowest.count(True):
+        return None
+    steps = [(down, mirrored_up) for _, _, down, mirrored_up in moves]
+    # walk[v] numbers the walk that reached v
+    t, walk = [None] * size, [0] * size
+    for mark, high in enumerate(highs, 1):
+        anchor = g.word_index.get(_eta_word(g.vertices[high], p, q, g.n))
+        if anchor is None or not lowest[anchor]:
+            return None
+        t[high], walk[high] = anchor, mark
+        stack = [high]
+        while stack:
+            v = stack.pop()
+            image = t[v]
+            for down, mirrored_up in steps:
+                u = down[v]
+                if u is None:
+                    continue
+                w = mirrored_up[image]
+                if w is None:
+                    return None
+                if t[u] is None:
+                    t[u], walk[u] = w, mark
+                    stack.append(u)
+                elif t[u] != w or walk[u] != mark:
+                    return None
+        if walk[anchor] != mark:
+            return None
+    if None in t:
+        return None
+    return t, len(highs)
+
+
+def _walk_components(g: CrystalGraph, p: int, q: int, moves, violations):
+    """(table, anchors) of eta_{p,q}, walked component by component over
+    the [p,q]-interval subgraph (components_in).  A component with one
+    highest and one lowest element is anchored there, the anchor checked
+    against jeu de taquin (one eta_interval call), and walked down from
+    its highest element.  Each failure is appended to violations with its
+    kind."""
+
+    def fail(kind, vid, **details):
+        violations.append({"kind": kind, "params": {"p": p, "q": q}, **details,
+                           "witness": vid})
+
+    t, anchors = [None] * len(g.vertices), 0
+    for comp in g.components_in(range(p, q)):
+        if len(comp.highest_ids) != 1 or len(comp.lowest_ids) != 1:
+            fail("extremal_count", comp.vertex_ids[0],
+                 highest=len(comp.highest_ids), lowest=len(comp.lowest_ids))
+            continue
+        high, low = comp.highest, comp.lowest
+        anchors += 1
+        if eta_interval(g.vertices[high], p, q, g.n) != g.vertices[low]:
+            fail("anchor", high)
+        t[high] = low
+        stack = [high]
+        while stack:
+            v = stack.pop()
+            for color, primed, down, mirrored_up in moves:
+                u = down[v]
+                if u is None:
+                    continue
+                w = mirrored_up[t[v]]
+                if w is None:
+                    fail("missing_edge", v, color=color, primed=primed)
+                elif t[u] is None:
+                    t[u] = w
+                    stack.append(u)
+                elif t[u] != w:
+                    fail("conflict", u)
+        for vid in comp.vertex_ids:
+            if t[vid] is None:
+                fail("unreached", vid)
+    return t, anchors
+
+
+def _compose(outer, inner) -> list:
+    """outer after inner, as an id list."""
+    return list(map(outer.__getitem__, inner))
 
 
 def verify_cactus(g: CrystalGraph) -> dict:
     """Pointwise check of the three cactus relations on a crystal graph.
 
-    The generator tables come from a graph walk: on each interval component
-    eta_{p,q} maps the highest element to the lowest, anchored there on the
-    jeu de taquin eta_interval, and is carried along the edges from it.  A
-    failure of the walk is a violation with a "kind"; relations are checked
-    on the generators whose tables the walk completed.
+    The generator tables come from a graph walk (_walk_tables): on each
+    interval component eta_{p,q} maps the highest element to the lowest,
+    the id of the highest element's eta word, and is carried along the
+    edges from it.  Where that walk gives up on a generator, the generator
+    is walked component by component, each anchor checked against the jeu
+    de taquin eta_interval, and a failure of that walk is a violation with
+    a "kind".  Relations are checked on the generators whose tables the
+    walk completed: each as one comparison of two composed tables, with
+    witnesses sought only where they differ.
 
     Returns a machine-readable report: every violation carries the relation
     number (or walk kind), its parameters, and a witness vertex id with
     its word, each word rendered once per report (_Words); "anchors" counts
-    the jeu de taquin anchor checks.
+    the anchored interval components.
     """
     tables, anchors, violations = _walk_tables(g)
     gens = [gen for gen in cactus_generators(g.n) if None not in tables[gen]]
@@ -447,24 +536,25 @@ def verify_cactus(g: CrystalGraph) -> dict:
     def relation(number, key, params, lhs, rhs):
         # the two composed tables must agree at every vertex
         checked[key] += len(lhs)
-        violations.extend({"relation": number, "params": params,
-                           "witness": vid}
-                          for vid, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+        if lhs != rhs:
+            violations.extend({"relation": number, "params": params,
+                               "witness": vid}
+                              for vid, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
 
     for p, q in gens:
         t = tables[(p, q)]
-        relation(1, "involution", {"p": p, "q": q}, [t[x] for x in t], range(len(t)))
+        relation(1, "involution", {"p": p, "q": q}, _compose(t, t), list(range(len(t))))
     for (p, q), (k, l) in itertools.combinations(gens, 2):
         if q < k:  # disjoint intervals; gens is sorted, so p <= k
             ta, tb = tables[(p, q)], tables[(k, l)]
             relation(2, "disjoint", {"p": p, "q": q, "k": k, "l": l},
-                     [ta[x] for x in tb], [tb[x] for x in ta])
+                     _compose(ta, tb), _compose(tb, ta))
     for (p, q), (k, l) in itertools.product(gens, gens):
         mirror = (p + q - l, p + q - k)
         if (k, l) != (p, q) and p <= k and l <= q and mirror in gens:
             inner, outer, mirrored = tables[(k, l)], tables[(p, q)], tables[mirror]
             relation(3, "nested", {"p": p, "q": q, "k": k, "l": l},
-                     [outer[x] for x in inner], [mirrored[x] for x in outer])
+                     _compose(outer, inner), _compose(mirrored, outer))
     words = _Words(g)
     for violation in violations:
         violation["witness_word"] = words[violation["witness"]]

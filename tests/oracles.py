@@ -5,7 +5,10 @@ the interval subword instead.  target_ids_by_write_back is the colour-i
 target pass that writes each target back into the whole reading word and
 looks it up in the word index; graph.target_ids groups by mask instead.
 jdt_tables gives each eta_{p,q} by jeu de taquin at every vertex, where
-graph._walk_tables carries it along the edges.  lrs_weight_counts_by_rectifying
+graph._walk_tables carries it along the edges.  walk_tables_by_components
+is the walk that finds every interval component first and checks each
+anchor against jeu de taquin; graph._walk_tables walks down from word
+anchors and falls back to it per generator.  lrs_weight_counts_by_rectifying
 rectifies every tableau of a shape, whatever its weight, where graph's LR
 counts rectify only the tableaux of the weight asked for."""
 
@@ -213,3 +216,52 @@ def lrs_weight_counts_by_rectifying(shape: SkewShape, n: int) -> dict:
             wt = T.weight(n)
             counts[wt] = counts.get(wt, 0) + 1
     return counts
+
+
+def walk_tables_by_components(g):
+    """graph._walk_tables by components: every generator walked over the
+    components of its interval subgraph (components_in), each anchor checked
+    by eta_interval.  Returns the same (tables, anchors, violations)."""
+    tables, anchors, violations = {}, 0, []
+
+    def fail(kind, p, q, vid, **details):
+        violations.append({"kind": kind, "params": {"p": p, "q": q}, **details,
+                           "witness": vid})
+
+    for p, q in cactus_generators(g.n):
+        # the [p,q]-interval subgraph read from g's own id lists;
+        # interval_subgraph would copy them once per generator
+        colors = range(p, q)
+        moves = [(color, primed, g.down[color, primed], g.up[p + q - 1 - color, primed])
+                 for color in colors for primed in (False, True)]
+        t = [None] * len(g.vertices)
+        for comp in g.components_in(colors):
+            if len(comp.highest_ids) != 1 or len(comp.lowest_ids) != 1:
+                fail("extremal_count", p, q, comp.vertex_ids[0],
+                     highest=len(comp.highest_ids), lowest=len(comp.lowest_ids))
+                continue
+            high, low = comp.highest, comp.lowest
+            anchors += 1
+            if eta_interval(g.vertices[high], p, q, g.n) != g.vertices[low]:
+                fail("anchor", p, q, high)
+            t[high] = low
+            stack = [high]
+            while stack:
+                v = stack.pop()
+                for color, primed, down, mirrored_up in moves:
+                    u = down[v]
+                    if u is None:
+                        continue
+                    w = mirrored_up[t[v]]
+                    if w is None:
+                        fail("missing_edge", p, q, v, color=color, primed=primed)
+                    elif t[u] is None:
+                        t[u] = w
+                        stack.append(u)
+                    elif t[u] != w:
+                        fail("conflict", p, q, u)
+            for vid in comp.vertex_ids:
+                if t[vid] is None:
+                    fail("unreached", p, q, vid)
+        tables[(p, q)] = t
+    return tables, anchors, violations

@@ -1,6 +1,8 @@
 """Crystal graphs, components, subgraphs, counting, cactus action, exports."""
 
+import contextlib
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,6 +34,8 @@ from shifted_crystal import (
 )
 from shifted_crystal import core as core_module
 from shifted_crystal import graph as graph_module
+from shifted_crystal import involutions as involutions_module
+from shifted_crystal.cli import main
 from shifted_crystal.core import InvariantError
 from shifted_crystal.graph import _colour_keys, _tuple_key, _walk_tables, target_ids, vertex_graph
 from shifted_crystal.operators import classify_string
@@ -42,6 +46,7 @@ from oracles import (
     jdt_tables,
     lrs_weight_counts_by_rectifying,
     target_ids_by_write_back,
+    walk_tables_by_components,
 )
 
 DESK_GRAPHS = [("2,1", 4), ("3,1", 3), ("3,2", 3)]
@@ -585,13 +590,137 @@ def test_verify_cactus_reports_a_wrong_anchor(graph_cache, monkeypatch):
     def wrong_at_high(T, p, q, n):
         return T if (T, p, q) == (high, 1, 3) else eta_interval(T, p, q, n)
 
+    # the word anchor of the walk from the highest elements is wrong there too
+    eta_word = graph_module._eta_word
+
+    def wrong_word_at_high(T, p, q, n):
+        return T.word_codes if (T, p, q) == (high, 1, 3) else eta_word(T, p, q, n)
+
     monkeypatch.setattr(graph_module, "eta_interval", wrong_at_high)
+    monkeypatch.setattr(graph_module, "_eta_word", wrong_word_at_high)
     rep = verify_cactus(g)
     assert not rep["ok"]
     assert [v for v in rep["violations"] if v.get("kind") == "anchor"] == [{
         "kind": "anchor", "params": {"p": 1, "q": 3},
         "witness": comp.highest, "witness_word": str(high.reading_word(4)),
     }]
+
+
+def test_verify_cactus_reports_an_anchor_in_another_component(graph_cache, monkeypatch):
+    # B((6,4,1)/(3,1),4) has components of one highest weight; eta_{1,4}
+    # sends the first one's highest element to the second one's lowest, a
+    # lowest element that the first one's walk does not reach
+    g = graph_cache("6,4,1/3,1", 4)
+    assert len(g.components) == 10
+    weights = [g.vertices[c.highest].weight(4) for c in g.components]
+    first, second = [c for c, wt in zip(g.components, weights) if wt == (4, 3, 0, 0)][:2]
+    high, elsewhere = g.vertices[first.highest], g.vertices[second.lowest]
+    eta_word = graph_module._eta_word
+
+    def elsewhere_at_high(T, p, q, n):
+        return elsewhere if (T, p, q) == (high, 1, 4) else eta_interval(T, p, q, n)
+
+    def elsewhere_word_at_high(T, p, q, n):
+        return elsewhere.word_codes if (T, p, q) == (high, 1, 4) else eta_word(T, p, q, n)
+
+    monkeypatch.setattr(graph_module, "eta_interval", elsewhere_at_high)
+    monkeypatch.setattr(graph_module, "_eta_word", elsewhere_word_at_high)
+    rep = verify_cactus(g)
+    assert rep["violations"] == [{
+        "kind": "anchor", "params": {"p": 1, "q": 4},
+        "witness": first.highest, "witness_word": str(high.reading_word(4)),
+    }]
+    assert rep["anchors"] == 2470 and not rep["ok"]
+
+
+def test_verify_cactus_raises_where_eta_is_not_a_tableau(monkeypatch, capsys):
+    # at one highest element of B((2,1),4), eta_{1,3} gives three letters
+    # 1': an internal error, as with jeu de taquin, not a violation
+    g = build_graph(SkewShape.parse("2,1"), 4)
+    comp = next(c for c in interval_subgraph(g, 1, 3).components if len(c) > 1)
+    sub = g.vertices[comp.highest].interval_subword(1, 3, 4)
+    reversed_subword = involutions_module._reversed_subword
+
+    def not_a_tableau(k, word):
+        return (1,) * len(word) if (k, word) == (3, sub) else reversed_subword(k, word)
+
+    monkeypatch.setattr(involutions_module, "_reversed_subword", not_a_tableau)
+    monkeypatch.setattr(graph_module, "_reversed_subword", not_a_tableau)
+    with pytest.raises(InvariantError, match="is not a tableau"):
+        verify_cactus(g)
+    assert main(["verify", "cactus", "--shape", "2,1", "--n", "4"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_walk_tables_give_up_where_no_walk_reaches():
+    # B((1),3) is the path 1 -> 2 -> 3 of dashed edges; with its colour-2
+    # edges a cycle between "2" and "3", that cycle has no highest element,
+    # so no walk from the highest elements reaches it
+    g = build_graph(SkewShape.parse("1"), 3)
+    assert g.edges == ((0, 1, 1, True), (1, 2, 2, True))
+    cycle = CrystalGraph(g.shape, 3, g.vertices,
+                         [(0, 1, 1, True), (1, 2, 2, False), (2, 1, 2, True)])
+    walked = _walk_tables(cycle)
+    assert walked == walk_tables_by_components(cycle)
+    assert [v for v in walked[2] if v["kind"] == "extremal_count"] == [
+        {"kind": "extremal_count", "params": {"p": 1, "q": 3}, "highest": 1, "lowest": 0,
+         "witness": 0},
+        {"kind": "extremal_count", "params": {"p": 2, "q": 3}, "highest": 0, "lowest": 0,
+         "witness": 1},
+    ]
+
+
+@contextlib.contextmanager
+def _counted_calls():
+    """{"components_in": k, "eta_interval": m}: the calls graph made to
+    each while the block runs."""
+    calls = {"components_in": 0, "eta_interval": 0}
+    components_in, eta_interval_ = CrystalGraph.components_in, graph_module.eta_interval
+
+    def counted_components_in(self, colors):
+        calls["components_in"] += 1
+        return components_in(self, colors)
+
+    def counted_eta_interval(*args):
+        calls["eta_interval"] += 1
+        return eta_interval_(*args)
+
+    with mock.patch.object(CrystalGraph, "components_in", counted_components_in), \
+            mock.patch.object(graph_module, "eta_interval", counted_eta_interval):
+        yield calls
+
+
+def test_verify_cactus_walks_down_from_word_anchors(graph_cache):
+    # no interval component is found and no anchor rebuilt as a tableau
+    for shape, n, anchors in [("6,4,1/3,1", 4, 2470), ("5,3,1", 4, 625)]:
+        with _counted_calls() as calls:
+            rep = verify_cactus(graph_cache(shape, n))
+        assert calls == {"components_in": 0, "eta_interval": 0}, shape
+        assert rep["ok"] and rep["anchors"] == anchors, shape
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_random_shapes(), st.data())
+def test_walk_from_word_anchors_matches_the_component_walk(shape_n, data):
+    # on a random graph the walk from word anchors takes no component, and
+    # with one random edge dropped its walk and report are the component
+    # walk's (oracles.walk_tables_by_components), violations and all
+    try:
+        g = build_graph(*shape_n, max_vertices=3000)
+    except ValueError:
+        assume(False)
+    assume(g.edges)
+    k = data.draw(st.integers(0, len(g.edges) - 1))
+    broken = CrystalGraph(g.shape, g.n, g.vertices, g.edges[:k] + g.edges[k + 1:])
+    for graph in (g, broken):
+        with _counted_calls() as calls:
+            walked = _walk_tables(graph)
+        assert walked == walk_tables_by_components(graph)
+        if graph is g:
+            assert calls == {"components_in": 0, "eta_interval": 0}
+        with mock.patch.object(graph_module, "_walk_tables", walk_tables_by_components):
+            want = verify_cactus(graph)
+        assert verify_cactus(graph) == want
 
 
 def test_verify_cactus_pins_each_relation_violation(monkeypatch):
