@@ -13,8 +13,8 @@ import contextlib
 import json
 import sys
 
-from .core import InvariantError, ShiftedTableau, SkewShape, StrictPartition, enumerate_tableaux
-from .graph import build_graph, export_dot, export_json, lrs_count
+from .core import InvariantError, ShiftedTableau, SkewShape, StrictPartition
+from .graph import _capped, build_graph, export_dot, export_json, lrs_count
 from .involutions import eta, eta_interval, evacuate, reversal
 from .jdt import rectify
 from .operators import apply_program
@@ -43,8 +43,8 @@ def _alphabet(args, T: ShiftedTableau) -> int:
 
 
 def _cmd_enumerate(args):
-    shape = SkewShape.parse(args.shape)
-    for T in enumerate_tableaux(shape, args.n):
+    # under the vertex cap, refused before a line is printed
+    for T in _capped(SkewShape.parse(args.shape), args.n):
         print(T)
     return 0
 

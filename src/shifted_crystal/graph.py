@@ -11,7 +11,9 @@ colour's F, F' and sigma targets: build_graph takes the F and F' lists,
 the braid suite, on the edgeless vertex_graph, the sigma lists.  A colour-i
 operator changes only the letters of value i and i + 1, so the pass groups
 the vertices by the rest of their words and finds each target by its
-{i, i+1} subword within its source's group; no word is written back.
+{i, i+1} subword within its source's group; no word is written back.  The
+cactus walk keys its anchors alike, by the [p, q] subword that eta_{p,q}
+reverses (_interval_keys cuts both).
 """
 
 import functools
@@ -29,7 +31,6 @@ from .core import (
     shared_shape,
     strict_partitions_of,
     word_str,
-    write_subword,
 )
 from .involutions import _reversed_subword, eta_interval
 from .jdt import is_lrs
@@ -254,7 +255,7 @@ def target_ids(g: CrystalGraph, *fields):
     them is an InvariantError, and so is an undefined sigma, which is total."""
     records = {}
     for i in range(1, g.n):
-        key, convert = _colour_keys(i, g.n)
+        key, convert = _interval_keys(i, i + 1, g.n)
         groups = {}
         # the ids come from the word index, so the lists share its int
         # objects rather than holding a fresh set per pass
@@ -287,19 +288,20 @@ def target_ids(g: CrystalGraph, *fields):
         yield i, lists
 
 
-def _colour_keys(i: int, n: int):
-    """(key, convert) for colour i's pass.  key(codes) is a word's (mask,
-    subword): the word with its letters of value i and i + 1 zeroed, and
-    those letters in reading order shifted down to [1, 2]'.  convert turns
-    a _colour_one target into a subword key.  While the codes, at most 2n,
-    fit in a byte, words are keyed as bytes, cut by two translate calls;
-    larger alphabets are keyed as tuples (_tuple_key)."""
-    lo, hi, shift = 2 * i - 1, 2 * i + 2, 2 * (i - 1)
+def _interval_keys(p: int, q: int, n: int):
+    """(key, convert) for the interval [p, q].  key(codes) is a word's
+    (mask, subword): the word with its letters of value in [p, q] zeroed,
+    and those letters in reading order shifted down to [1, q - p + 1]'.
+    convert turns a subword (a _colour_one target, a _reversed_subword)
+    into a subword key.  While the codes, at most 2n, fit in a byte, words
+    are keyed as bytes, cut by two translate calls; larger alphabets are
+    keyed as tuples (_tuple_key)."""
+    lo, hi, shift = 2 * p - 1, 2 * q, 2 * (p - 1)
     if 2 * n > 255:
         return functools.partial(_tuple_key, lo, hi, shift), tuple
     same = bytes(range(256))
-    mask_table = same[:lo] + bytes(4) + same[hi + 1:]
-    sub_table = same[:lo] + bytes(range(1, 5)) + same[hi + 1:]
+    mask_table = same[:lo] + bytes(hi - lo + 1) + same[hi + 1:]
+    sub_table = same[:lo] + bytes(range(1, hi - lo + 2)) + same[hi + 1:]
     outside = same[:lo] + same[hi + 1:]
 
     def key(codes):
@@ -383,23 +385,17 @@ class _Words(dict):
         return word
 
 
-def _eta_word(T: ShiftedTableau, p: int, q: int, n: int) -> tuple:
-    """eta_interval(T, p, q, n)'s reading word, with no tableau built or checked."""
-    return write_subword(T.word_codes, p, q,
-                         _reversed_subword(q - p + 1, T.interval_subword(p, q, n)))
-
-
 def _walk_tables(g: CrystalGraph):
     """Each generator as a vertex-id array, carried along the graph's edges.
 
     On every [p,q]-interval component eta_{p,q} sends the highest element
     to the lowest one, and eta(F_i x) = E_{p+q-1-i} eta(x) carries it along
     solid and dashed edges alike.  Each generator is first walked down from
-    its highest elements, each anchored on its eta word's id (_walk_down);
-    where that walk gives up, the generator is walked again component by
-    component (_walk_components), which records the violations.  Returns
-    (tables, anchors, violations); an entry the walk could not fix stays
-    None.
+    its highest elements, each anchored on the lowest element keyed by its
+    reversed interval subword (_walk_down); where that walk gives up, the
+    generator is walked again component by component (_walk_components),
+    which records the violations.  Returns (tables, anchors, violations);
+    an entry the walk could not fix stays None.
     """
     tables, anchors, violations = {}, 0, []
     for p, q in cactus_generators(g.n):
@@ -417,26 +413,30 @@ def _walk_tables(g: CrystalGraph):
 
 def _walk_down(g: CrystalGraph, p: int, q: int, moves):
     """(table, anchors) of eta_{p,q}, walked down from each highest element
-    h of the [p,q]-interval subgraph with h's entry the id of its eta word
-    (_eta_word); no tableau is built or checked, since the word index holds
-    only vertices.  None, to give up, where the highest and lowest elements
-    differ in number, an eta word is not the id of a lowest element that
-    h's own walk reaches, a mirrored edge is missing, an entry conflicts,
-    two walks meet, or a vertex stays unreached.  Otherwise each walk covers
-    one component, with one highest and one lowest element, and the table
-    is the one _walk_components would give without a violation."""
+    h of the [p,q]-interval subgraph with h's entry the lowest element keyed
+    by h's mask and reversed subword (_interval_keys, _reversed_subword):
+    eta_{p,q} changes only the letters in [p, q], and no tableau is built or
+    checked.  None, to give up, where the highest and lowest elements differ
+    in number, no lowest element has the key or h's own walk misses it, a
+    mirrored edge is missing, an entry conflicts, two walks meet, or a
+    vertex stays unreached.  Otherwise each walk covers one component, with
+    one highest and one lowest element, and the table is the one
+    _walk_components would give without a violation."""
     size = len(g.vertices)
     highest = _unlinked([g.up[color, primed] for color, primed, _, _ in moves], size)
     lowest = _unlinked([down for _, _, down, _ in moves], size)
     highs = list(itertools.compress(range(size), highest))
-    if len(highs) != lowest.count(True):
+    key, convert = _interval_keys(p, q, g.n)
+    lows = {key(g.vertices[v].word_codes): v for v in itertools.compress(range(size), lowest)}
+    if len(highs) != len(lows):
         return None
     steps = [(down, mirrored_up) for _, _, down, mirrored_up in moves]
     # walk[v] numbers the walk that reached v
     t, walk = [None] * size, [0] * size
     for mark, high in enumerate(highs, 1):
-        anchor = g.word_index.get(_eta_word(g.vertices[high], p, q, g.n))
-        if anchor is None or not lowest[anchor]:
+        mask, sub = key(g.vertices[high].word_codes)
+        anchor = lows.get((mask, convert(_reversed_subword(q - p + 1, tuple(sub)))))
+        if anchor is None:
             return None
         t[high], walk[high] = anchor, mark
         stack = [high]
@@ -516,13 +516,13 @@ def verify_cactus(g: CrystalGraph) -> dict:
 
     The generator tables come from a graph walk (_walk_tables): on each
     interval component eta_{p,q} maps the highest element to the lowest,
-    the id of the highest element's eta word, and is carried along the
-    edges from it.  Where that walk gives up on a generator, the generator
-    is walked component by component, each anchor checked against the jeu
-    de taquin eta_interval, and a failure of that walk is a violation with
-    a "kind".  Relations are checked on the generators whose tables the
-    walk completed: each as one comparison of two composed tables, with
-    witnesses sought only where they differ.
+    the one keyed by the highest element's mask and reversed [p, q]
+    subword, and is carried along the edges from it.  Where that walk gives
+    up on a generator, the generator is walked component by component, each
+    anchor checked against the jeu de taquin eta_interval, and a failure of
+    that walk is a violation with a "kind".  Relations are checked on the
+    generators whose tables the walk completed: each as one comparison of
+    two composed tables, with witnesses sought only where they differ.
 
     Returns a machine-readable report: every violation carries the relation
     number (or walk kind), its parameters, and a witness vertex id with

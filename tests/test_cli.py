@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from shifted_crystal import cli, verify
+from shifted_crystal import core as core_module
 from shifted_crystal.cli import main
 from shifted_crystal.core import InvariantError
 
@@ -185,6 +186,24 @@ def test_vertex_cap_from_the_environment_refuses_early(monkeypatch, capsys):
     assert main(["graph", "--shape", "7,5,3,1", "--n", "5"]) == 2
     assert capsys.readouterr() == (
         "", "error: more than 1000 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override\n")
+
+
+def test_enumerate_command_past_the_cap_builds_at_most_cap_plus_one_tableaux(
+        monkeypatch, capsys):
+    # B((7,5,3,1),5) has 153 600 tableaux; under a cap of 1000 the command
+    # prints none of them, and the enumeration stops at cap + 1
+    built, leaf = [0], core_module._leaf
+
+    def counted_leaf(*args):
+        built[0] += 1
+        return leaf(*args)
+
+    monkeypatch.setattr(core_module, "_leaf", counted_leaf)
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "1000")
+    assert main(["enumerate", "--shape", "7,5,3,1", "--n", "5"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: more than 1000 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override\n")
+    assert 0 < built[0] <= 1001
 
 
 def test_lrs_count_command_under_the_vertex_cap(monkeypatch, capsys):

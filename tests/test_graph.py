@@ -37,7 +37,7 @@ from shifted_crystal import graph as graph_module
 from shifted_crystal import involutions as involutions_module
 from shifted_crystal.cli import main
 from shifted_crystal.core import InvariantError
-from shifted_crystal.graph import _colour_keys, _tuple_key, _walk_tables, target_ids, vertex_graph
+from shifted_crystal.graph import _interval_keys, _tuple_key, _walk_tables, target_ids, vertex_graph
 from shifted_crystal.operators import classify_string
 from shifted_crystal.verify import run_braid
 
@@ -178,20 +178,38 @@ def test_one_record_request_per_distinct_subword(monkeypatch, shape, n, distinct
     assert len(calls) == distinct
 
 
-def test_colour_keys_cut_the_mask_and_the_subword():
+def test_interval_keys_cut_the_mask_and_the_subword(graph_cache):
     # colour 150 reads the codes 299 to 302, the letters 150', 150, 151' and 151
     codes = (1, 299, 400, 302, 300, 5, 301, 302, 303)
     want = ((1, 0, 400, 0, 0, 5, 0, 0, 303), (1, 4, 2, 3, 4))
     assert _tuple_key(299, 302, 298, codes) == want
-    key, convert = _colour_keys(150, 200)
+    key, convert = _interval_keys(150, 151, 200)
     assert key(codes) == want and convert((1, 2)) == (1, 2)
+    # [150, 152] reads the codes 299 to 304, and shifts them down to [1, 3]'
+    codes = (1, 299, 400, 304, 300, 5, 303, 302, 305)
+    key, convert = _interval_keys(150, 152, 200)
+    assert key(codes) == ((1, 0, 400, 0, 0, 5, 0, 0, 305), (1, 6, 2, 5, 4))
+    assert convert((6, 1)) == (6, 1)
     # up to 2n = 254 the key is in bytes, and cuts the same words
     codes = (1, 251, 254, 200, 252, 253, 254, 2)
-    key, convert = _colour_keys(126, 127)
+    key, convert = _interval_keys(126, 127, 127)
     mask, sub = key(codes)
     assert type(mask) is bytes and type(sub) is bytes
     assert (tuple(mask), tuple(sub)) == _tuple_key(251, 254, 250, codes)
     assert convert((1, 4)) == bytes((1, 4))
+    codes = (1, 249, 254, 200, 251, 253, 252, 2)
+    key, convert = _interval_keys(125, 127, 127)
+    mask, sub = key(codes)
+    assert (tuple(mask), tuple(sub)) == ((1, 0, 0, 200, 0, 0, 0, 2), (1, 6, 3, 5, 4))
+    assert convert((6, 1)) == bytes((6, 1))
+    # on the desk graphs every interval cuts ShiftedTableau.interval_subword
+    for shape, n in DESK_GRAPHS:
+        for p, q in cactus_generators(n):
+            key, _ = _interval_keys(p, q, n)
+            for T in graph_cache(shape, n).vertices:
+                mask, sub = key(T.word_codes)
+                assert tuple(sub) == T.interval_subword(p, q, n), (shape, p, q, T)
+                assert tuple(mask) == _tuple_key(2 * p - 1, 2 * q, 2 * (p - 1), T.word_codes)[0]
 
 
 def test_graph_refuses_two_vertices_with_one_word():
@@ -590,14 +608,16 @@ def test_verify_cactus_reports_a_wrong_anchor(graph_cache, monkeypatch):
     def wrong_at_high(T, p, q, n):
         return T if (T, p, q) == (high, 1, 3) else eta_interval(T, p, q, n)
 
-    # the word anchor of the walk from the highest elements is wrong there too
-    eta_word = graph_module._eta_word
+    # the keyed anchor of the walk from the highest elements is wrong there
+    # too: the high element's own subword, unreversed
+    high_sub = high.interval_subword(1, 3, 4)
+    reversed_subword = graph_module._reversed_subword
 
-    def wrong_word_at_high(T, p, q, n):
-        return T.word_codes if (T, p, q) == (high, 1, 3) else eta_word(T, p, q, n)
+    def unreversed_at_high(k, sub):
+        return sub if (k, sub) == (3, high_sub) else reversed_subword(k, sub)
 
     monkeypatch.setattr(graph_module, "eta_interval", wrong_at_high)
-    monkeypatch.setattr(graph_module, "_eta_word", wrong_word_at_high)
+    monkeypatch.setattr(graph_module, "_reversed_subword", unreversed_at_high)
     rep = verify_cactus(g)
     assert not rep["ok"]
     assert [v for v in rep["violations"] if v.get("kind") == "anchor"] == [{
@@ -615,16 +635,17 @@ def test_verify_cactus_reports_an_anchor_in_another_component(graph_cache, monke
     weights = [g.vertices[c.highest].weight(4) for c in g.components]
     first, second = [c for c, wt in zip(g.components, weights) if wt == (4, 3, 0, 0)][:2]
     high, elsewhere = g.vertices[first.highest], g.vertices[second.lowest]
-    eta_word = graph_module._eta_word
+    high_sub, elsewhere_sub = (T.interval_subword(1, 4, 4) for T in (high, elsewhere))
+    reversed_subword = graph_module._reversed_subword
 
     def elsewhere_at_high(T, p, q, n):
         return elsewhere if (T, p, q) == (high, 1, 4) else eta_interval(T, p, q, n)
 
-    def elsewhere_word_at_high(T, p, q, n):
-        return elsewhere.word_codes if (T, p, q) == (high, 1, 4) else eta_word(T, p, q, n)
+    def elsewhere_sub_at_high(k, sub):
+        return elsewhere_sub if (k, sub) == (4, high_sub) else reversed_subword(k, sub)
 
     monkeypatch.setattr(graph_module, "eta_interval", elsewhere_at_high)
-    monkeypatch.setattr(graph_module, "_eta_word", elsewhere_word_at_high)
+    monkeypatch.setattr(graph_module, "_reversed_subword", elsewhere_sub_at_high)
     rep = verify_cactus(g)
     assert rep["violations"] == [{
         "kind": "anchor", "params": {"p": 1, "q": 4},

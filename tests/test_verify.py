@@ -276,6 +276,16 @@ def test_run_symmetry_small_scope():
     assert rep["ok"] and rep["checked"] > 20
 
 
+def test_run_symmetry_counts_each_coefficient_once(monkeypatch):
+    # the default bound's 275 statements ask for 550 coefficients, 275 of
+    # them distinct
+    real, calls = verify.lrs_count, []
+    monkeypatch.setattr(verify, "lrs_count", lambda *args: calls.append(args) or real(*args))
+    rep = run_symmetry()
+    assert rep["ok"] and rep["checked"] == 275
+    assert len(calls) == len(set(calls)) == 275
+
+
 def test_run_structure_small_scope():
     rep = run_structure(bound="3,1", n=2, extra=(("2,1", 3),))
     assert rep["ok"] and rep["graphs"] > 5
@@ -369,9 +379,11 @@ def test_failing_reports_keep_the_contract(monkeypatch):
         _swap_top_numbers_away_from_the_first_corner(m)
         reports.append(run_knuth(max_len=2, values=2, bound="4,3", n_max=3, orders=5, seed=1))
     with monkeypatch.context() as m:
-        real, calls = verify.lrs_count, itertools.count()
-        # the first coefficient reads one more than its mirror
-        m.setattr(verify, "lrs_count", lambda lam, mu, nu: real(lam, mu, nu) + (next(calls) == 0))
+        real = verify.lrs_count
+        # f^{(2,1)}_{(2),(1)} reads one more than its mirror; it enters one
+        # statement only, however often the suite asks for it
+        m.setattr(verify, "lrs_count", lambda lam, mu, nu: real(lam, mu, nu)
+                  + ((str(lam), str(mu), str(nu)) == ("2,1", "2", "1")))
         reports.append(run_symmetry(bound="2,1"))
     with monkeypatch.context() as m:
         def broken(T, i, n):
