@@ -7,8 +7,8 @@ eta_{p,q} is keyed on T's [p, q] subword (ShiftedTableau.interval_subword)
 and on q - p + 1, the alphabet it is reversed over.  Like the colour-i
 operators, reversal is coplactic and acts on the letters [p, q]' through
 their reading word, so the shape drops out and the subword's word tableau
-(jdt.strip_tableau: one row per row-fitting run) stands in for T's own
-piece.  One bounded cache holds the reversed subword
+(jdt._word_tableau: one row per row-fitting run, with few inner cells)
+stands in for T's own piece.  One bounded cache holds the reversed subword
 per key, and the answer is written back into the same reading positions
 (ShiftedTableau.with_interval_subword).
 """
@@ -26,7 +26,7 @@ from .core import (
     is_primed,
     shared_shape,
 )
-from .jdt import rectify, strip_tableau, unrectify
+from .jdt import _word_tableau, rectify, unrectify
 
 __all__ = [
     "IntervalPermutation",
@@ -123,8 +123,11 @@ def eta(T: ShiftedTableau, n: int) -> ShiftedTableau:
 @functools.lru_cache(maxsize=4096)
 def _reversed_subword(k: int, sub: tuple) -> tuple:
     """The reversal over [k]' of a canonical word, as a word: the reading
-    word of the reversed jdt.strip_tableau."""
-    return reversal(strip_tableau(Word(sub, k)), k).word_codes
+    word of its word tableau (jdt._word_tableau), reversed.  Reversal is
+    coplactic, so any tableau with reading word sub gives the same word;
+    this one has fewer inner cells to slide through than
+    jdt.strip_tableau."""
+    return reversal(_word_tableau(Word(sub, k).codes), k).word_codes
 
 
 def eta_interval(T: ShiftedTableau, p: int, q: int, n: int) -> ShiftedTableau:

@@ -21,9 +21,16 @@ core.shared_shape.  Corners from the caller (inner_slide, outer_slide,
 replay, unrectify) are checked before each slide; rectify reads its corner
 rows off the inner parts.
 
-A word is rectified on strip_tableau(w), a tableau with reading word w whose
-rows are the maximal row-fitting runs of w; rectification depends only on
-the reading word, so the layout changes the work and not the answer.
+A word is rectified on a tableau with reading word w whose rows are the
+maximal row-fitting runs of w; rectification depends only on the reading
+word, so the layout changes the work and not the answer.  Two layouts
+serve.  _word_tableau lets each row share columns with the row below, as
+far left as the letters allow, and so has fewer inner cells; the colour
+records (operators._colour_one) and the reversed subwords
+(involutions._reversed_subword) rectify on it.  strip_tableau puts each row
+strictly right of every row below; the Knuth suite keeps it, because its
+report counts the slides it runs (103 135 at the default scope), and a
+new layout would change that figure.
 order_dependent, the Knuth suite's slide-order check, standardizes a
 tableau once and walks its random orders on one tree of corner choices, so
 orders that share a prefix of choices share the slides along it.  It
@@ -406,7 +413,8 @@ def _row_runs(codes):
 
 
 def strip_tableau(w: Word) -> ShiftedTableau:
-    """A checked tableau whose reading word is w, with few inner cells.
+    """A checked tableau whose reading word is w, with few inner cells: the
+    Knuth suite's layout (module docstring).
 
     Each maximal run of w that fits in one row (weakly increasing, no primed
     letter twice) becomes one row, the first run the bottom row, and each
@@ -431,6 +439,48 @@ def strip_tableau(w: Word) -> ShiftedTableau:
     outer.reverse()
     inner.reverse()
     return ShiftedTableau(shared_shape(tuple(outer), tuple(inner[:-1])), w.codes)
+
+
+def _fits_above(run, part, row, below, start):
+    """True when run, as row `row` with inner part `part`, may sit on the
+    row below it, which holds `below` from column `start`: it ends at or
+    right of that row's end, and in each column they share its code is
+    smaller, or equal and primed."""
+    left = row + part
+    end = start + len(below) - 1
+    if left + len(run) - 1 < end:
+        return False
+    for c in range(max(left, start), end + 1):
+        x, y = run[c - left], below[c - start]
+        if x > y or (x == y and not x % 2):
+            return False
+    return True
+
+
+def _word_tableau(codes) -> ShiftedTableau:
+    """A checked tableau whose reading word is the canonical word codes, with
+    fewer inner cells than strip_tableau.
+
+    The rows are strip_tableau's runs (_row_runs), the first run the bottom
+    row at inner part 0.  Each row above takes the least inner part that
+    exceeds the part below when that is positive and fits on the row below
+    (_fits_above), so rows overlap in columns where strip_tableau stacks
+    them apart.  Rectification, and every coplactic operation carried back
+    along it, depends only on the reading word (see strip_tableau).
+    """
+    if not codes:
+        return EMPTY_TABLEAU
+    runs = _row_runs(codes)
+    m = len(runs)
+    inner, start = [0], m  # run k fills row m - k from column m - k + inner[k]
+    for k in range(1, m):
+        part = inner[-1] + 1 if inner[-1] else 0
+        while not _fits_above(runs[k], part, m - k, runs[k - 1], start):
+            part += 1
+        inner.append(part)
+        start = m - k + part
+    outer = tuple(part + len(run) for part, run in zip(reversed(inner), reversed(runs)))
+    return ShiftedTableau(shared_shape(outer, tuple(p for p in reversed(inner) if p)), codes)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ to {1, 2} (ShiftedTableau.interval_subword).  The shape drops out because
 the operators act on words.  The primed ones move the boundary between the
 value-i and value-(i+1) blocks and leave every other block where it was;
 F_i, E_i and sigma_i are coplactic, so any tableau with that reading word,
-here the subword's word tableau (jdt.strip_tableau: one row per row-fitting
-run of the subword), gives the same answer.  _colour_one
-computes each subword's F, E, F', E' and sigma targets and Lengths once, in
-a bounded cache; a tableau's answer is its target written back into the
-same reading positions (ShiftedTableau.with_interval_subword).
+here the subword's word tableau (jdt._word_tableau: one row per row-fitting
+run of the subword, with few inner cells), gives the same answer.
+_colour_one gives each subword's F, E, F', E' and sigma targets and
+Lengths from one bounded table, filled a two-letter string at a time: one
+rectification serves every subword in the string, each member of the
+straight string carried back along the same slides (_string_records).  A
+tableau's answer is its target written back into the same reading
+positions (ShiftedTableau.with_interval_subword).
 
 A string is arranged once, on words, from one map of its dashed (primed)
 edges (_arrange): each member, a word over {1, 2}', maps to its E' and F'
@@ -46,7 +49,7 @@ from .core import (
     shared_shape,
     standard_form,
 )
-from .jdt import rectify, strip_tableau, unrectify
+from .jdt import _word_tableau, rectify, unrectify
 
 __all__ = [
     "primed_raise",
@@ -216,25 +219,71 @@ _Colour1 = collections.namedtuple("_Colour1", "f e f_prime e_prime sigma lengths
 Lengths = collections.namedtuple("Lengths", "eps_hat eps_prime phi_hat phi_prime eps phi")
 
 
-@functools.lru_cache(maxsize=4096)
-def _colour_one(sub) -> _Colour1:
-    """The colour-1 record of a canonical word over {1, 2}'.
+def _string_records(codes) -> dict:
+    """The colour-1 records of every subword in the two-letter string of the
+    canonical word codes over {1, 2}', by subword.
 
-    Each of F, E, F', E' and sigma maps the word to a target word of the
-    same length (None where undefined); lengths is its Lengths.  The primed
-    targets come from the word operators, the rest from the place
-    (_place_facts) of the word's tableau (jdt.strip_tableau), rectified, in
-    its straight string, carried back along the same slides.
+    One rectification of the word tableau (jdt._word_tableau) serves the
+    whole string.  F, E and sigma are coplactic, so each member of the
+    straight string, carried back along the same slides, gives its own
+    subword, and that subword's F, E, sigma and Lengths are read off the
+    member's place (_place_facts) as members again.  The primed targets come
+    from the word operators.
     """
-    w = Word(sub, 2)
-    R, record = rectify(strip_tableau(w))
-    f, e, s, lens = _place_facts(R)
+    R, record = rectify(_word_tableau(codes))
+    words = {M: unrectify(M, record).word_codes
+             for M in _two_letter_string(R.shape.outer.parts).place}
+    records = {}
+    for M, sub in words.items():
+        f, e, s, lens = _place_facts(M)
+        w = Word(sub, 2)
+        records[sub] = _Colour1(words.get(f), words.get(e), _codes(primed_lower(w, 1)),
+                                _codes(primed_raise(w, 1)), words[s], lens)
+    return records
 
-    def back(target):
-        return None if target is None else unrectify(target, record).word_codes
 
-    return _Colour1(back(f), back(e), _codes(primed_lower(w, 1)),
-                    _codes(primed_raise(w, 1)), back(s), lens)
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _string_table(maxsize):
+    """A bounded table of colour-1 records, filled a string at a time, with
+    lru_cache's cache_info() and cache_clear().  A miss fills the records
+    of every subword in the word's string (_string_records); a fill that
+    would pass maxsize empties the table first.  A string has far fewer
+    members than maxsize."""
+    records = {}
+    hits = misses = 0
+
+    def colour_one(sub) -> _Colour1:
+        """The colour-1 record of a canonical word over {1, 2}'.
+
+        Each of F, E, F', E' and sigma maps the word to a target word of the
+        same length (None where undefined); lengths is its Lengths.
+        """
+        nonlocal hits, misses
+        record = records.get(sub)
+        if record is not None:
+            hits += 1
+            return record
+        misses += 1
+        codes = Word(sub, 2).codes
+        fill = _string_records(codes)
+        if len(records) + len(fill) > maxsize:
+            records.clear()
+        records.update(fill)
+        return fill[codes]
+
+    def cache_clear():
+        nonlocal hits, misses
+        records.clear()
+        hits = misses = 0
+
+    colour_one.cache_info = lambda: _CacheInfo(hits, misses, maxsize, len(records))
+    colour_one.cache_clear = cache_clear
+    return colour_one
+
+
+_colour_one = _string_table(4096)
 
 
 def _record(T: ShiftedTableau, i: int, n: int) -> _Colour1:

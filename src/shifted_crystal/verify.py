@@ -12,6 +12,7 @@ so it counts them in "violations_found" instead of listing them; and the
 "all" report holds the sub-reports and joins their summaries.
 """
 
+import math
 import random
 import time
 
@@ -20,11 +21,19 @@ from .core import (
     SkewShape,
     StrictPartition,
     Word,
-    enumerate_tableaux,
     strict_partitions_inside,
     strict_partitions_of,
 )
-from .graph import _Words, build_graph, lrs_count, target_ids, verify_cactus, vertex_graph
+from .graph import (
+    _capped,
+    _vertex_cap,
+    _Words,
+    build_graph,
+    lrs_count,
+    target_ids,
+    verify_cactus,
+    vertex_graph,
+)
 from .jdt import knuth_neighbors, order_dependent, rectify, strip_tableau, yamanouchi
 from .operators import classify_string
 
@@ -111,6 +120,18 @@ def _canonical_words(max_len: int, values: int):
     return words
 
 
+def _canonical_word_count(length: int, values: int) -> int:
+    """The number of canonical words of exactly length letters over
+    [values]', in closed form, with no word built.  One on exactly j of the
+    values is a surjection of its letters onto j values, C(values, j) j!
+    S(length, j) of them, with either code at each of its length - j letters
+    after the first of their value; inclusion-exclusion counts the
+    surjections."""
+    return sum(math.comb(values, j) * 2 ** (length - j)
+               * sum((-1) ** i * math.comb(j, i) * (j - i) ** length for i in range(j + 1))
+               for j in range(min(length, values) + 1))
+
+
 def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) -> dict:
     """Knuth equivalence vs rectification, and slide-order invariance.
 
@@ -122,11 +143,22 @@ def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) 
 
     "checked" counts the words, the tableaux, the random orders per tableau
     and the slides run by each part; "seconds" times each part.  A negative
-    size is a ValueError, not an empty pass.
+    size is a ValueError, not an empty pass.  Both parts stay under the
+    vertex cap (graph._vertex_cap, read from SHIFTED_CRYSTAL_MAX_VERTICES):
+    more canonical words than the cap, counted in closed form, is a
+    ValueError before any word is built, and each (shape, n) enumerates
+    through graph._capped.
     """
     if min(max_len, values, n_max, orders) < 0:
         raise ValueError("run_knuth: max_len, values, n_max and orders must be non-negative, "
                          f"got {max_len}, {values}, {n_max}, {orders}")
+    source, cap = _vertex_cap(None)
+    count = 0
+    for length in range(max_len + 1):  # stops soon: the counts grow geometrically
+        count += _canonical_word_count(length, values)
+        if count > cap:
+            raise ValueError(f"run_knuth: more than {cap} words up to length {max_len}; "
+                             f"raise {source} to override")
     t0 = time.perf_counter()
     words = _canonical_words(max_len, values)
     parent = list(range(len(words)))
@@ -175,7 +207,7 @@ def run_knuth(max_len=6, values=3, bound="4,3,2,1", n_max=3, orders=50, seed=0) 
             shape = SkewShape(lam, mu)
             shapes_checked += 1
             for n in range(1, n_max + 1):
-                for T in enumerate_tableaux(shape, n):
+                for T in _capped(shape, n):
                     tableaux_checked += 1
                     witness, slides = order_dependent(T, rng, orders)
                     order_slides += slides

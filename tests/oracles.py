@@ -10,25 +10,32 @@ is the walk that finds every interval component first and checks each
 anchor against jeu de taquin; graph._walk_tables walks down from word
 anchors and falls back to it per generator.  lrs_weight_counts_by_rectifying
 rectifies every tableau of a shape, whatever its weight, where graph's LR
-counts rectify only the tableaux of the weight asked for."""
+counts rectify only the tableaux of the weight asked for.
+colour_one_by_subword computes one subword's colour-one record from its own
+rectification, where operators._colour_one fills a whole two-letter string
+from one."""
 
 from shifted_crystal import (
     ShiftedTableau,
     SkewShape,
     StrictPartition,
+    Word,
     build_graph,
     cactus_generators,
     enumerate_tableaux,
     eta_interval,
     is_lrs,
     knuth_neighbors,
+    primed_lower,
+    primed_raise,
     rectify,
     unrectify,
     yamanouchi,
 )
 from shifted_crystal.core import InvariantError, canonicalize_codes, write_subword
 from shifted_crystal.graph import _edge_count
-from shifted_crystal.operators import _colour_one, _place_facts
+from shifted_crystal.jdt import strip_tableau
+from shifted_crystal.operators import _Colour1, _colour_one, _place_facts, _two_letter_string
 
 # knuth_equivalent's search grows fast with the word length
 KNUTH_MAX_LEN = 8
@@ -83,6 +90,30 @@ def string_step(fact):
         target = _place_facts(R)[fact]
         return None if target is None else unrectify(target, record)
     return act
+
+
+def colour_one_by_subword(sub):
+    """operators._colour_one one subword at a time: sub's strip_tableau is
+    rectified to R, and R's F, E and sigma are carried back along its own
+    slides.  F, E and the Lengths are read off R's place (_place_facts),
+    sigma off the whole string reflected (its members read forwards against
+    its chains reversed), so a wrong reflection index in _place_facts
+    shows."""
+    w = Word(sub, 2)
+    R, record = rectify(strip_tableau(w))
+    f, e, _, lens = _place_facts(R)
+    chains = _two_letter_string(R.shape.outer.parts).chains
+    reflect = dict(zip((U for chain in chains for U in chain),
+                       (U for chain in reversed(chains) for U in reversed(chain))))
+
+    def back(target):
+        return None if target is None else unrectify(target, record).word_codes
+
+    def codes(word):
+        return None if word is None else word.codes
+
+    return _Colour1(back(f), back(e), codes(primed_lower(w, 1)), codes(primed_raise(w, 1)),
+                    back(reflect[R]), lens)
 
 
 def knuth_equivalent(w, v) -> bool:

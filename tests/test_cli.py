@@ -281,6 +281,15 @@ def test_verify_knuth_rejects_negative_sizes(capsys):
             verify.run_knuth(**kwargs)
 
 
+def test_verify_knuth_past_the_cap_exits_2_before_it_builds_a_word(monkeypatch, capsys):
+    monkeypatch.delenv("SHIFTED_CRYSTAL_MAX_VERTICES", raising=False)
+    monkeypatch.setattr(verify, "_canonical_words", lambda *args: pytest.fail("words built"))
+    assert main(["verify", "knuth", "--max-size", "12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: run_knuth: more than 100000 words up to length 12; "
+                                 "raise SHIFTED_CRYSTAL_MAX_VERTICES to override\n")
+
+
 # knuth takes all four suite flags, so it has no case here
 @pytest.mark.parametrize("suite, flag, value", [
     ("cactus", "--seed", "3"),

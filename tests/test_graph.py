@@ -35,13 +35,15 @@ from shifted_crystal import (
 from shifted_crystal import core as core_module
 from shifted_crystal import graph as graph_module
 from shifted_crystal import involutions as involutions_module
+from shifted_crystal import operators as operators_module
 from shifted_crystal.cli import main
 from shifted_crystal.core import InvariantError
 from shifted_crystal.graph import _interval_keys, _tuple_key, _walk_tables, target_ids, vertex_graph
-from shifted_crystal.operators import classify_string
+from shifted_crystal.operators import _colour_one, classify_string
 from shifted_crystal.verify import run_braid
 
 from oracles import (
+    colour_one_by_subword,
     component_isomorphic_to_straight,
     jdt_tables,
     lrs_weight_counts_by_rectifying,
@@ -176,6 +178,30 @@ def test_one_record_request_per_distinct_subword(monkeypatch, shape, n, distinct
     calls.clear()
     run_braid(shape, n)
     assert len(calls) == distinct
+
+
+@pytest.mark.parametrize("shape, n, strings", [("6,4,1/3,1", 4, 76), ("6,4,2", 5, 239)])
+def test_build_graph_rectifies_once_per_two_letter_string(monkeypatch, shape, n, strings):
+    # a record miss fills its whole string from one rectification, so from
+    # an empty table the build rectifies once per two-letter string met
+    real, calls = operators_module.rectify, []
+
+    def counted(T, *args):
+        calls.append(T)
+        return real(T, *args)
+
+    _colour_one.cache_clear()
+    monkeypatch.setattr(operators_module, "rectify", counted)
+    build_graph(SkewShape.parse(shape), n)
+    assert len(calls) == strings
+
+
+def test_colour_records_match_the_subword_oracle_on_desk_graphs(graph_cache):
+    for shape, n in DESK_GRAPHS:
+        subs = {T.interval_subword(i, i + 1, n)
+                for T in graph_cache(shape, n).vertices for i in range(1, n)}
+        for sub in subs:
+            assert _colour_one(sub) == colour_one_by_subword(sub), (shape, n, sub)
 
 
 def test_interval_keys_cut_the_mask_and_the_subword(graph_cache):
@@ -537,13 +563,16 @@ def test_random_graphs_match_the_definitional_path(shape_n):
     fields = ("f", "f_prime", "sigma")
     for i, lists in target_ids(g, *fields):
         assert lists == target_ids_by_write_back(g, i, *fields), i
+    # every record filled from a string is its own subword's
+    shape, n = shape_n
+    for sub in {T.interval_subword(i, i + 1, n) for T in g.vertices for i in range(1, n)}:
+        assert _colour_one(sub) == colour_one_by_subword(sub), sub
     tables, _, violations = _walk_tables(g)
     assert violations == []
     assert tables == jdt_tables(g)
     # the highest elements are the is_highest vertices, each LRS, the lowest
     # the is_lowest vertices, and the components of highest weight nu number
     # lrs_count(lam, mu, nu)
-    shape, n = shape_n
     by_weight = {}
     for comp in g.components:
         assert comp.highest_ids == tuple(v for v in comp.vertex_ids

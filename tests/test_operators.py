@@ -31,9 +31,10 @@ from shifted_crystal import (
     yamanouchi,
 )
 from shifted_crystal.core import InvariantError, canonicalize_codes
-from shifted_crystal.operators import _arrange, _place_facts, _two_letter_string
+from shifted_crystal.operators import _arrange, _colour_one, _place_facts, _two_letter_string
+from shifted_crystal.verify import _canonical_words
 
-from oracles import on_piece, string_step
+from oracles import colour_one_by_subword, on_piece, string_step
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,33 @@ def test_place_facts_match_the_string_maps():
         assert string.members == set(enumerate_tableaux(SkewShape(parts), 2))
         for U, want in _string_maps(string).items():
             assert _place_facts(U) == want, (parts, U)
+
+
+def test_colour_records_match_the_subword_oracle_on_short_words():
+    # each miss fills the records of its whole two-letter string from one
+    # rectification; every one of them is the record of its own subword
+    words = [w.codes for w in _canonical_words(8, 2)[1:]]
+    assert len(words) == 22100
+    for sub in words:
+        assert _colour_one(sub) == colour_one_by_subword(sub), sub
+
+
+def test_a_fill_past_the_bound_empties_the_table_first():
+    _colour_one.cache_clear()
+    first = {}
+    for w in _canonical_words(8, 2):
+        before = _colour_one.cache_info().currsize
+        first[w.codes] = _colour_one(w.codes)
+        info = _colour_one.cache_info()
+        assert info.currsize <= info.maxsize == 4096
+        if info.currsize < before:
+            assert first[w.codes] == colour_one_by_subword(w.codes)
+            break
+    else:
+        pytest.fail("no fill passed the bound")
+    # the emptied records are filled again, with the same answers
+    assert all(_colour_one(sub) == record for sub, record in first.items())
+    assert _colour_one.cache_info().currsize <= 4096
 
 
 def test_unprimed_examples():

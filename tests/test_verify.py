@@ -25,6 +25,7 @@ from shifted_crystal import (
 from shifted_crystal.core import InvariantError, Word, canonicalize_codes
 from shifted_crystal.operators import StringDescriptor
 from shifted_crystal.verify import (
+    _canonical_word_count,
     _canonical_words,
     _structure_issues,
     run_braid,
@@ -147,6 +148,52 @@ def test_run_knuth_reports_what_it_checked():
     assert checked["slides"]["orders"] == 5 * inner
     assert checked["slides"]["words"] > 0
     assert set(rep["seconds"]) == {"words", "orders"}
+
+
+def test_canonical_word_counts_add_up_to_the_word_list():
+    def up_to(max_len, values):
+        return sum(_canonical_word_count(L, values) for L in range(max_len + 1))
+
+    assert [up_to(L, 3) for L in (6, 8, 10, 12)] == [9094, 284902, 9594982, 334909030]
+    for max_len, values in itertools.product(range(7), range(5)):
+        assert up_to(max_len, values) == len(_canonical_words(max_len, values))
+
+
+def _counted_words(monkeypatch):
+    built = [0]
+    real = Word.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Word, "__init__", counted)
+    return built
+
+
+def test_run_knuth_refuses_past_the_cap_before_it_builds_a_word(monkeypatch):
+    monkeypatch.delenv("SHIFTED_CRYSTAL_MAX_VERTICES", raising=False)
+    built = _counted_words(monkeypatch)
+    with pytest.raises(ValueError, match="^run_knuth: more than 100000 words up to length 12; "
+                                         "raise SHIFTED_CRYSTAL_MAX_VERTICES to override$"):
+        run_knuth(max_len=12)
+    assert built[0] == 0
+    # the cap is the variable's: the 9 words over [2]' up to length 2 pass a cap of 9
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "8")
+    with pytest.raises(ValueError, match="more than 8 words up to length 2"):
+        run_knuth(max_len=2, values=2, bound="1", n_max=1, orders=1)
+    assert built[0] == 0
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "9")
+    assert run_knuth(max_len=2, values=2, bound="1", n_max=1, orders=1)["words"] == 9
+
+
+def test_run_knuth_enumerates_each_shape_under_the_cap(monkeypatch):
+    # the 4 words over [1]' up to length 2 pass a cap of 9, and B((3),3),
+    # with 10 tableaux, does not
+    monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "9")
+    assert len(enumerate_tableaux(SkewShape.parse("3"), 3)) == 10
+    with pytest.raises(ValueError, match="more than 9 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES"):
+        run_knuth(max_len=2, values=1, bound="3", n_max=3, orders=1)
 
 
 def _swap_top_numbers_away_from_the_first_corner(monkeypatch):

@@ -1,14 +1,18 @@
 """The word tableau of jdt.strip_tableau against the anti-diagonal strip it
-replaced, and jdt.order_dependent against the build-every-order loop.
+replaced, jdt._word_tableau against strip_tableau, and jdt.order_dependent
+against the build-every-order loop.
 
 The anti-diagonal strip puts letter k of an N-letter word alone in row
 N - k, with no two cells sharing a row or column; its inner shape has
-N(N - 1) cells.  Rectification and reversal must not see the difference.
+N(N - 1) cells.  strip_tableau puts each row-fitting run in a row strictly
+right of the rows below; _word_tableau lets the rows share columns.
+Rectification and reversal must not see the difference.
 """
 
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from shifted_crystal import (
@@ -23,7 +27,9 @@ from shifted_crystal import (
     strict_partitions_inside,
 )
 from shifted_crystal.core import canonicalize_codes, shared_shape
-from shifted_crystal.jdt import order_dependent, strip_tableau
+from shifted_crystal.involutions import _reversed_subword
+from shifted_crystal.jdt import _word_tableau, order_dependent, strip_tableau
+from shifted_crystal.verify import _canonical_words
 
 
 def anti_diagonal_strip(w: Word) -> ShiftedTableau:
@@ -57,6 +63,18 @@ def test_word_tableaux_match_the_strip_on_short_words():
 @given(st.lists(st.integers(1, 10), max_size=12))
 def test_word_tableaux_match_the_strip_on_random_words(codes):
     _assert_layouts_agree(Word(canonicalize_codes(codes), 5))
+
+
+@pytest.mark.parametrize("max_len, values, count", [(7, 3, 50277), (5, 4, 5200)])
+def test_word_tableau_matches_the_strip(max_len, values, count):
+    words = _canonical_words(max_len, values)[1:]
+    assert len(words) == count
+    for w in words:
+        T, S = _word_tableau(w.codes), strip_tableau(w)
+        assert T.check().word_codes == w.codes
+        assert T.shape.inner.size <= S.shape.inner.size
+        assert rectify(T)[0] == rectify(S)[0]
+        assert _reversed_subword(values, w.codes) == reversal(S, values).word_codes
 
 
 def _first_differing_order(T, rng, orders):
