@@ -389,48 +389,73 @@ def _walk_tables(g: CrystalGraph):
     """Each generator as a vertex-id array, carried along the graph's edges.
 
     On every [p,q]-interval component eta_{p,q} sends the highest element
-    to the lowest one, and eta(F_i x) = E_{p+q-1-i} eta(x) carries it along
-    solid and dashed edges alike.  Each generator is first walked down from
-    its highest elements, each anchored on the lowest element keyed by its
-    reversed interval subword (_walk_down); where that walk gives up, the
-    generator is walked again component by component (_walk_components),
-    which records the violations.  Returns (tables, anchors, violations);
-    an entry the walk could not fix stays None.
+    to the lowest one, and eta(F_i x) = E_{p+q-1-i} eta(x) carries it down
+    solid and dashed edges alike (_carry).  Each generator is first walked
+    down from all its highest elements at once, each anchored on the lowest
+    element keyed by its mask and reversed [p, q] subword (_interval_keys,
+    _reversed_subword), with no component found and no tableau built
+    (_walk_down).  That walk gives up where the highest and lowest elements
+    differ in number, an anchor's key is missing, a mirrored edge is
+    missing, an entry conflicts, two walks meet, an anchor lies off its own
+    walk, or a vertex stays unreached.  The generator is then walked again
+    component by component (components_in, _walk_components): a component
+    with one highest and one lowest element is anchored there, the anchor
+    checked against jeu de taquin (eta_interval), and every failure is
+    recorded as a violation of its kind ("extremal_count", "anchor",
+    "missing_edge", "conflict", "unreached").  Without a violation both
+    walks give the same table.  Returns (tables, anchors, violations); an
+    entry the walk could not fix stays None.
     """
     tables, anchors, violations = {}, 0, []
     for p, q in cactus_generators(g.n):
         # the [p,q]-interval subgraph read from g's own id lists;
         # interval_subgraph would copy them once per generator
-        moves = [(color, primed, g.down[color, primed], g.up[p + q - 1 - color, primed])
+        steps = [(g.down[color, primed], g.up[p + q - 1 - color, primed], (color, primed))
                  for color in range(p, q) for primed in (False, True)]
-        walked = _walk_down(g, p, q, moves)
+        walked = _walk_down(g, p, q, steps)
         if walked is None:
-            walked = _walk_components(g, p, q, moves, violations)
+            walked = _walk_components(g, p, q, steps, violations)
         tables[(p, q)], count = walked
         anchors += count
     return tables, anchors, violations
 
 
-def _walk_down(g: CrystalGraph, p: int, q: int, moves):
-    """(table, anchors) of eta_{p,q}, walked down from each highest element
-    h of the [p,q]-interval subgraph with h's entry the lowest element keyed
-    by h's mask and reversed subword (_interval_keys, _reversed_subword):
-    eta_{p,q} changes only the letters in [p, q], and no tableau is built or
-    checked.  None, to give up, where the highest and lowest elements differ
-    in number, no lowest element has the key or h's own walk misses it, a
-    mirrored edge is missing, an entry conflicts, two walks meet, or a
-    vertex stays unreached.  Otherwise each walk covers one component, with
-    one highest and one lowest element, and the table is the one
-    _walk_components would give without a violation."""
+def _carry(t, walk, highs, steps, fail):
+    """Carry eta_{p,q} down the interval's edges from the highs, whose
+    entries in t and marks in walk are set: each vertex reached takes the
+    mirrored edge's end as its entry and its walk's mark.  A missing
+    mirrored edge, or an entry that conflicts or that another walk set, is
+    reported to fail(kind, vid, **details)."""
+    stack = list(highs)
+    while stack:
+        v = stack.pop()
+        image, mark = t[v], walk[v]
+        for down, mirrored_up, edge in steps:
+            u = down[v]
+            if u is None:
+                continue
+            w = mirrored_up[image]
+            if w is None:
+                fail("missing_edge", v, color=edge[0], primed=edge[1])
+            elif t[u] is None:
+                t[u], walk[u] = w, mark
+                stack.append(u)
+            elif t[u] != w or walk[u] != mark:
+                fail("conflict", u)
+
+
+def _walk_down(g: CrystalGraph, p: int, q: int, steps):
+    """(table, anchors) of eta_{p,q}, walked down from all the highest
+    elements at once, each from its keyed anchor, or None to give up; see
+    _walk_tables."""
     size = len(g.vertices)
-    highest = _unlinked([g.up[color, primed] for color, primed, _, _ in moves], size)
-    lowest = _unlinked([down for _, _, down, _ in moves], size)
+    highest = _unlinked([g.up[edge] for _, _, edge in steps], size)
+    lowest = _unlinked([down for down, _, _ in steps], size)
     highs = list(itertools.compress(range(size), highest))
     key, convert = _interval_keys(p, q, g.n)
     lows = {key(g.vertices[v].word_codes): v for v in itertools.compress(range(size), lowest)}
     if len(highs) != len(lows):
         return None
-    steps = [(down, mirrored_up) for _, _, down, mirrored_up in moves]
     # walk[v] numbers the walk that reached v
     t, walk = [None] * size, [0] * size
     for mark, high in enumerate(highs, 1):
@@ -439,42 +464,22 @@ def _walk_down(g: CrystalGraph, p: int, q: int, moves):
         if anchor is None:
             return None
         t[high], walk[high] = anchor, mark
-        stack = [high]
-        while stack:
-            v = stack.pop()
-            image = t[v]
-            for down, mirrored_up in steps:
-                u = down[v]
-                if u is None:
-                    continue
-                w = mirrored_up[image]
-                if w is None:
-                    return None
-                if t[u] is None:
-                    t[u], walk[u] = w, mark
-                    stack.append(u)
-                elif t[u] != w or walk[u] != mark:
-                    return None
-        if walk[anchor] != mark:
-            return None
-    if None in t:
+    failures = []
+    _carry(t, walk, highs, steps, lambda *failure, **details: failures.append(failure))
+    if failures or None in t or any(walk[t[high]] != walk[high] for high in highs):
         return None
     return t, len(highs)
 
 
-def _walk_components(g: CrystalGraph, p: int, q: int, moves, violations):
-    """(table, anchors) of eta_{p,q}, walked component by component over
-    the [p,q]-interval subgraph (components_in).  A component with one
-    highest and one lowest element is anchored there, the anchor checked
-    against jeu de taquin (one eta_interval call), and walked down from
-    its highest element.  Each failure is appended to violations with its
-    kind."""
+def _walk_components(g: CrystalGraph, p: int, q: int, steps, violations):
+    """(table, anchors) of eta_{p,q}, walked component by component, each
+    failure appended to violations with its kind; see _walk_tables."""
 
     def fail(kind, vid, **details):
         violations.append({"kind": kind, "params": {"p": p, "q": q}, **details,
                            "witness": vid})
 
-    t, anchors = [None] * len(g.vertices), 0
+    t, walk, anchors = [None] * len(g.vertices), [0] * len(g.vertices), 0
     for comp in g.components_in(range(p, q)):
         if len(comp.highest_ids) != 1 or len(comp.lowest_ids) != 1:
             fail("extremal_count", comp.vertex_ids[0],
@@ -484,22 +489,8 @@ def _walk_components(g: CrystalGraph, p: int, q: int, moves, violations):
         anchors += 1
         if eta_interval(g.vertices[high], p, q, g.n) != g.vertices[low]:
             fail("anchor", high)
-        t[high] = low
-        stack = [high]
-        while stack:
-            v = stack.pop()
-            for color, primed, down, mirrored_up in moves:
-                u = down[v]
-                if u is None:
-                    continue
-                w = mirrored_up[t[v]]
-                if w is None:
-                    fail("missing_edge", v, color=color, primed=primed)
-                elif t[u] is None:
-                    t[u] = w
-                    stack.append(u)
-                elif t[u] != w:
-                    fail("conflict", u)
+        t[high], walk[high] = low, anchors
+        _carry(t, walk, [high], steps, fail)
         for vid in comp.vertex_ids:
             if t[vid] is None:
                 fail("unreached", vid)
@@ -514,15 +505,11 @@ def _compose(outer, inner) -> list:
 def verify_cactus(g: CrystalGraph) -> dict:
     """Pointwise check of the three cactus relations on a crystal graph.
 
-    The generator tables come from a graph walk (_walk_tables): on each
-    interval component eta_{p,q} maps the highest element to the lowest,
-    the one keyed by the highest element's mask and reversed [p, q]
-    subword, and is carried along the edges from it.  Where that walk gives
-    up on a generator, the generator is walked component by component, each
-    anchor checked against the jeu de taquin eta_interval, and a failure of
-    that walk is a violation with a "kind".  Relations are checked on the
-    generators whose tables the walk completed: each as one comparison of
-    two composed tables, with witnesses sought only where they differ.
+    The generator tables come from a graph walk, whose failures are
+    violations with a "kind" (_walk_tables tells the walk).  Relations are
+    checked on the generators whose tables the walk completed: each as one
+    comparison of two composed tables, with witnesses sought only where
+    they differ.
 
     Returns a machine-readable report: every violation carries the relation
     number (or walk kind), its parameters, and a witness vertex id with

@@ -8,9 +8,11 @@ jdt_tables gives each eta_{p,q} by jeu de taquin at every vertex, where
 graph._walk_tables carries it along the edges.  walk_tables_by_components
 is the walk that finds every interval component first and checks each
 anchor against jeu de taquin; graph._walk_tables walks down from word
-anchors and falls back to it per generator.  lrs_weight_counts_by_rectifying
-rectifies every tableau of a shape, whatever its weight, where graph's LR
-counts rectify only the tableaux of the weight asked for.
+anchors and falls back per generator to a component walk of its own, which
+shares its carry step (graph._carry) and no code with this one.
+lrs_weight_counts_by_rectifying rectifies every tableau of a shape,
+whatever its weight, where graph's LR counts rectify only the tableaux of
+the weight asked for.
 colour_one_by_subword computes one subword's colour-one record from its own
 rectification, where operators._colour_one fills a whole two-letter string
 from one."""

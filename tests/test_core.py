@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from shifted_crystal import (
     EMPTY_TABLEAU,
+    IntervalPermutation,
     ShiftedTableau,
     SkewShape,
+    SlideRecord,
     StrictPartition,
     Word,
     canonicalize,
@@ -126,6 +128,31 @@ def test_standardize_examples():
 def test_word_out_of_range():
     with pytest.raises(ValueError):
         Word.parse("3", n=2)
+
+
+def test_canonicalize_rebinds_a_word_to_a_new_bound():
+    w = Word.parse("1 2' 2")
+    assert canonicalize(w) is w
+    wider = canonicalize(w, 4)
+    assert wider == w.with_n(4) and (wider.codes, wider.n) == (w.codes, 4)
+    with pytest.raises(ValueError, match="out of range for n=1"):
+        canonicalize(w, 1)
+
+
+@pytest.mark.parametrize("value, field", [
+    (StrictPartition((3, 1)), "parts"),
+    (SkewShape.parse("3,1/1"), "outer"),
+    (Word.parse("1 2'"), "codes"),
+    (ShiftedTableau.parse("2,1", "1 1 / 2"), "word_codes"),
+    (IntervalPermutation(1, 3), "p"),
+    (SlideRecord([("inner", (1, 1), (1, 2))]), "steps"),
+])
+def test_values_refuse_to_be_changed(value, field):
+    before = getattr(value, field)
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, None)
+    assert getattr(value, field) == before
 
 
 @pytest.mark.parametrize("codes", [[0, 2], [-1, 2], [2, 0, 4]])

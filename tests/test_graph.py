@@ -16,6 +16,7 @@ from shifted_crystal import (
     build_graph,
     cactus_act,
     cactus_generators,
+    enumerate_tableaux,
     eta,
     eta_interval,
     export_dot,
@@ -718,6 +719,31 @@ def test_walk_tables_give_up_where_no_walk_reaches():
         {"kind": "extremal_count", "params": {"p": 2, "q": 3}, "highest": 0, "lowest": 0,
          "witness": 1},
     ]
+
+
+def test_walk_tables_give_up_where_two_walks_meet(monkeypatch):
+    # five vertices joined by a -> m (solid 1), b -> m (dashed 1), m -> c
+    # (solid 1) and m -> d (dashed 1), their anchors steered to a -> c and
+    # b -> d: both highest elements have an anchor, the two walks meet at m,
+    # and the component walk records one component with two of each
+    vertices = enumerate_tableaux(SkewShape.parse("4"), 2)
+    assert len(vertices) == 5
+    a, b, m, c, d = (T.word_codes for T in vertices)
+    g = CrystalGraph(vertices[0].shape, 2, vertices,
+                     [(0, 2, 1, False), (1, 2, 1, True), (2, 3, 1, False), (2, 4, 1, True)])
+    steered, asked = {a: c, b: d}, []
+
+    def anchor_at(k, sub):
+        asked.append(sub)
+        return steered[sub]
+
+    monkeypatch.setattr(graph_module, "_reversed_subword", anchor_at)
+    walked = _walk_tables(g)
+    assert asked == [a, b]
+    assert walked == walk_tables_by_components(g)
+    assert walked == ({(1, 2): [None] * 5}, 0, [
+        {"kind": "extremal_count", "params": {"p": 1, "q": 2}, "highest": 2, "lowest": 2,
+         "witness": 0}])
 
 
 @contextlib.contextmanager

@@ -302,6 +302,31 @@ def test_arrange_refuses_a_map_that_leaves_its_string():
         _arrange({a: (None, b), b: (a, c), c: (b, b)})
 
 
+# the words 1' and 1 (level 1), 1 2' and 1' 2 (level 0), 1 1 (level 2) and
+# 2 2 (level -2), as codes
+_ONE_P, _ONE, _ONE_TWO_P, _ONE_P_TWO, _ONE_ONE, _TWO_TWO = (1,), (2,), (2, 3), (1, 4), (2, 2), (4, 4)
+
+
+@pytest.mark.parametrize("dashed, problem", [
+    # two vertices force a ladder; with no dashed edge both are a top and a bottom
+    ({_ONE: (None, None), _ONE_P: (None, None)}, "ladder chains malformed"),
+    # a repeated level forces a ladder; its top chain drops from level 2 to -2
+    ({_ONE_ONE: (None, _ONE_TWO_P), _TWO_TWO: (None, _ONE_P_TWO),
+      _ONE_TWO_P: (_ONE_ONE, None), _ONE_P_TWO: (_TWO_TWO, None)},
+     "chain levels not in steps of 2"),
+    # a dashed rung between two words of one level
+    ({_ONE: (None, _ONE_P), _ONE_P: (_ONE, None)}, "ladder rungs malformed"),
+    # three levels and no dashed edge: three chains, not one
+    ({_ONE_ONE: (None, None), _ONE_TWO_P: (None, None), _TWO_TWO: (None, None)},
+     "single chain with 3 starts"),
+])
+def test_arrange_refuses_a_malformed_string(dashed, problem):
+    with pytest.raises(InvariantError) as exc:
+        _arrange(dashed)
+    first = next(iter(dashed))
+    assert str(exc.value) == f"{problem} in the {len(dashed)}-vertex string through {first!r}"
+
+
 def test_string_partition_of_vertex_set():
     shape = SkewShape.parse("3,1/1")
     verts = set(enumerate_tableaux(shape, 3))

@@ -22,9 +22,11 @@ from shifted_crystal import (
     StrictPartition,
     Word,
     enumerate_tableaux,
+    evacuate,
     rectify,
     reversal,
     strict_partitions_inside,
+    unrectify,
 )
 from shifted_crystal.core import canonicalize_codes, shared_shape
 from shifted_crystal.involutions import _reversed_subword
@@ -73,8 +75,11 @@ def test_word_tableau_matches_the_strip(max_len, values, count):
         T, S = _word_tableau(w.codes), strip_tableau(w)
         assert T.check().word_codes == w.codes
         assert T.shape.inner.size <= S.shape.inner.size
-        assert rectify(T)[0] == rectify(S)[0]
-        assert _reversed_subword(values, w.codes) == reversal(S, values).word_codes
+        # the strip rectified once: reversal(S) is its rectification
+        # evacuated and unrectified
+        R, record = rectify(S)
+        assert rectify(T)[0] == R
+        assert _reversed_subword(values, w.codes) == unrectify(evacuate(R, values), record).word_codes
 
 
 def _first_differing_order(T, rng, orders):
