@@ -67,6 +67,16 @@ class InvariantError(RuntimeError):
     """A structural fact the theory guarantees failed to hold in practice."""
 
 
+class _Frozen:
+    """Base of the immutable values: their fields are set once, through
+    object.__setattr__, and no attribute may be set afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 # ---------------------------------------------------------------------------
 # Letters
 
@@ -112,7 +122,7 @@ def parse_letter(token: str) -> int:
 # Strict partitions
 
 @functools.total_ordering
-class StrictPartition:
+class StrictPartition(_Frozen):
     """A strictly decreasing sequence of positive integers."""
 
     __slots__ = ("parts",)
@@ -129,9 +139,6 @@ class StrictPartition:
         if parts and parts[-1] <= 0:
             raise ValueError(f"parts must be positive: {parts}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StrictPartition is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "StrictPartition":
@@ -238,7 +245,7 @@ def strict_partitions_inside(bound) -> list:
 # ---------------------------------------------------------------------------
 # Skew shifted shapes
 
-class SkewShape:
+class SkewShape(_Frozen):
     """A shifted skew shape outer/inner with precomputed cell data.
 
     cells_reading lists the cells in reading order (rows bottom to top, left
@@ -267,9 +274,6 @@ class SkewShape:
         object.__setattr__(self, "west", tuple(position.get((r, c - 1)) for r, c in cells))
         object.__setattr__(self, "north", tuple(position.get((r - 1, c)) for r, c in cells))
         object.__setattr__(self, "south", tuple(position.get((r + 1, c)) for r, c in cells))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewShape is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "SkewShape":
@@ -419,7 +423,7 @@ def destandardize_codes(values, positions):
     return tuple(codes)
 
 
-class Word:
+class Word(_Frozen):
     """A word over the primed alphabet, stored in canonical form."""
 
     __slots__ = ("codes", "n")
@@ -436,9 +440,6 @@ class Word:
             raise ValueError(f"letter value {maxval} out of range for n={n}")
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "n", int(n))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     @classmethod
     def parse(cls, text: str, n=None) -> "Word":
@@ -507,7 +508,7 @@ def write_subword(word, p: int, q: int, sub) -> tuple:
 # ---------------------------------------------------------------------------
 # Shifted tableaux
 
-class ShiftedTableau:
+class ShiftedTableau(_Frozen):
     """A semistandard shifted skew tableau in canonical form.
 
     Stored as its shape and its reading word: word[k] fills the cell
@@ -523,9 +524,6 @@ class ShiftedTableau:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "word_codes", word)
         self.check()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftedTableau is immutable")
 
     # -- construction helpers ------------------------------------------------
 

@@ -20,6 +20,7 @@ from .core import (
     InvariantError,
     ShiftedTableau,
     Word,
+    _Frozen,
     canonicalize_codes,
     letter,
     letter_value,
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 
-class IntervalPermutation:
+class IntervalPermutation(_Frozen):
     """Longest permutation of the operator indices [p, q-1].
 
     On indices it sends i to p + q - i - 1 inside [p, q-1] and fixes the
@@ -52,9 +53,6 @@ class IntervalPermutation:
             raise ValueError(f"need 1 <= p < q, got ({p}, {q})")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalPermutation is immutable")
 
     def index(self, i: int) -> int:
         if self.p <= i <= self.q - 1:

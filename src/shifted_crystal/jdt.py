@@ -48,6 +48,7 @@ from .core import (
     SkewShape,
     StrictPartition,
     Word,
+    _Frozen,
     destandardize_codes,
     letter,
     letter_value,
@@ -76,7 +77,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Slide records
 
-class SlideRecord:
+class SlideRecord(_Frozen):
     """A replayable sequence of slides.
 
     Each step is (kind, start, end): kind is "inner" or "outer", start is
@@ -89,9 +90,6 @@ class SlideRecord:
 
     def __init__(self, steps=()):
         object.__setattr__(self, "steps", tuple(steps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SlideRecord is immutable")
 
     def reversed(self) -> "SlideRecord":
         flipped = []

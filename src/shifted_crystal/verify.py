@@ -343,12 +343,7 @@ def run_all(seed=0) -> dict:
         "sigma_iji": "3 2 3' 3 1 1 1 2 3",
         "sigma_jij": "3 2 3' 3 1 1 1 2' 3'",
     }
-    braid_hit = any(
-        v["witness_word"] == braid_expected["witness_word"]
-        and v["sigma_iji"] == braid_expected["sigma_iji"]
-        and v["sigma_jij"] == braid_expected["sigma_jij"]
-        for v in braid["violations"]
-    )
+    braid_hit = any(braid_expected.items() <= v.items() for v in braid["violations"])
     reports.append({
         "suite": "braid-witness",
         "graph": braid["graph"],

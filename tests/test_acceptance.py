@@ -230,6 +230,7 @@ def test_criterion10_lr_symmetry_and_component_counts(graph_cache):
     t0 = time.time()
     report = run_symmetry(bound="4,3,2,1")
     assert report["ok"], report["violations"][:3]
+    assert list(report) == ["suite", "checked", "violations", "ok", "summary"]
     for lam in strict_partitions_inside(BOUND):
         for mu in strict_partitions_inside(lam):
             g = build_graph(SkewShape(lam, mu), 3)
@@ -253,6 +254,8 @@ def test_criterion11_structure(graph_cache):
     t0 = time.time()
     report = run_structure(bound="4,3,2,1", n=3, extra=DESK_GRAPHS)
     assert report["ok"], report["violations"][:3]
+    assert report["graphs"] == 129
+    assert list(report) == ["suite", "graphs", "violations", "ok", "summary"]
     for shape, n in DESK_GRAPHS:
         g = graph_cache(shape, n)
         assert len(g.components) == 1

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from shifted_crystal import cli, verify
+from shifted_crystal import cli, export_json, graph_from_json, verify
 from shifted_crystal import core as core_module
 from shifted_crystal.cli import main
 from shifted_crystal.core import InvariantError
@@ -88,6 +88,10 @@ def test_graph_command_formats(tmp_path):
     code, text1 = run_cli("graph", "--shape", "3,1", "--n", "3", "--format", "json")
     code, text2 = run_cli("graph", "--shape", "3,1", "--n", "3", "--format", "json")
     assert text1 == text2
+    # a skew export reads back through graph_from_json, whose constructor
+    # checks every edge, and writes out byte-equal
+    code, text = run_cli("graph", "--shape", "3,1/1", "--n", "3", "--format", "json")
+    assert code == 0 and export_json(graph_from_json(text)) == text
 
 
 def test_graph_out_fails_before_the_build(tmp_path, monkeypatch, capsys):

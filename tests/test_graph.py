@@ -181,10 +181,14 @@ def test_one_record_request_per_distinct_subword(monkeypatch, shape, n, distinct
     assert len(calls) == distinct
 
 
-@pytest.mark.parametrize("shape, n, strings", [("6,4,1/3,1", 4, 76), ("6,4,2", 5, 239)])
-def test_build_graph_rectifies_once_per_two_letter_string(monkeypatch, shape, n, strings):
+@pytest.mark.parametrize("shape, n, strings, records", [
+    pytest.param("6,4,1/3,1", 4, 76, 359, id="6,4,1/3,1-4-76"),
+    pytest.param("6,4,2", 5, 239, 1256, id="6,4,2-5-239"),
+])
+def test_build_graph_rectifies_once_per_two_letter_string(monkeypatch, shape, n, strings, records):
     # a record miss fills its whole string from one rectification, so from
-    # an empty table the build rectifies once per two-letter string met
+    # an empty table the build rectifies once per two-letter string met, and
+    # the table ends with one record per distinct {i, i+1} subword
     real, calls = operators_module.rectify, []
 
     def counted(T, *args):
@@ -195,6 +199,7 @@ def test_build_graph_rectifies_once_per_two_letter_string(monkeypatch, shape, n,
     monkeypatch.setattr(operators_module, "rectify", counted)
     build_graph(SkewShape.parse(shape), n)
     assert len(calls) == strings
+    assert _colour_one.cache_info().currsize == records
 
 
 def test_colour_records_match_the_subword_oracle_on_desk_graphs(graph_cache):
@@ -767,12 +772,28 @@ def _counted_calls():
 
 
 def test_verify_cactus_walks_down_from_word_anchors(graph_cache):
-    # no interval component is found and no anchor rebuilt as a tableau
+    # no interval component is found and no anchor rebuilt as a tableau; the
+    # report counts the edges on the id lists, the export lists them sorted,
+    # and the two counts agree
     for shape, n, anchors in [("6,4,1/3,1", 4, 2470), ("5,3,1", 4, 625)]:
+        g = graph_cache(shape, n)
         with _counted_calls() as calls:
-            rep = verify_cactus(graph_cache(shape, n))
+            rep = verify_cactus(g)
         assert calls == {"components_in": 0, "eta_interval": 0}, shape
         assert rep["ok"] and rep["anchors"] == anchors, shape
+        assert rep["graph"]["edges"] == len(json.loads(export_json(g))["edges"]), shape
+
+
+def test_a_graph_on_one_letter_has_no_colour_and_no_generator():
+    # with n = 1 there are no id lists, so every vertex is its own component
+    # and both its highest and its lowest element
+    g = build_graph(SkewShape.parse("4,1/2"), 1)
+    assert len(g.vertices) == 2 and not g.edges and cactus_generators(1) == []
+    assert [(c.vertex_ids, c.highest_ids, c.lowest_ids) for c in g.components] == [
+        ((0,), (0,), (0,)), ((1,), (1,), (1,))]
+    rep = verify_cactus(g)
+    assert rep["ok"] and rep["anchors"] == 0
+    assert rep["checked"] == {"involution": 0, "disjoint": 0, "nested": 0}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -30,6 +30,8 @@ from shifted_crystal import (
     unprimed_raise,
     yamanouchi,
 )
+from shifted_crystal import operators as operators_module
+from shifted_crystal.cli import main
 from shifted_crystal.core import InvariantError, canonicalize_codes
 from shifted_crystal.operators import _arrange, _colour_one, _place_facts, _two_letter_string
 from shifted_crystal.verify import _canonical_words
@@ -325,6 +327,54 @@ def test_arrange_refuses_a_malformed_string(dashed, problem):
         _arrange(dashed)
     first = next(iter(dashed))
     assert str(exc.value) == f"{problem} in the {len(dashed)}-vertex string through {first!r}"
+
+
+# ---------------------------------------------------------------------------
+# guards: each fault the theory rules out is an InvariantError, reached here
+# by injecting it
+
+def test_revaluing_that_changes_the_standardization_is_refused(monkeypatch):
+    # F'_1 of 2 1 1 is 2 1 2'; its letters reversed, canonical 2 1 2, it
+    # standardizes otherwise
+    real = operators_module.destandardize_codes
+    monkeypatch.setattr(operators_module, "destandardize_codes",
+                        lambda values, positions: real(values, positions)[::-1])
+    with pytest.raises(InvariantError) as exc:
+        primed_lower(Word.parse("2 1 1", n=2), 1)
+    assert str(exc.value) == "re-valuing of 2 1 1 changed the standardization"
+
+
+def test_a_shape_with_no_two_letter_tableau_is_refused(monkeypatch):
+    _two_letter_string.cache_clear()
+    monkeypatch.setattr(operators_module, "enumerate_tableaux", lambda shape, n: ())
+    with pytest.raises(InvariantError) as exc:
+        _two_letter_string((2, 1))
+    assert str(exc.value) == "no two-letter tableaux of shape 2,1/"
+
+
+def test_a_tableau_missing_from_its_string_is_refused(monkeypatch):
+    # every shape is handed the string of (2), where Y((2,1)) has no place
+    real = operators_module._two_letter_string
+    monkeypatch.setattr(operators_module, "_two_letter_string", lambda parts: real((2,)))
+    R = yamanouchi((2, 1))
+    with pytest.raises(InvariantError) as exc:
+        _place_facts(R)
+    assert str(exc.value) == f"{R!r} is missing from its two-letter string"
+
+
+def test_sigma_off_the_crystal_is_refused(monkeypatch, tmp_path, capsys):
+    # every colour-one record loses its sigma target
+    real = operators_module._colour_one
+    monkeypatch.setattr(operators_module, "_colour_one",
+                        lambda sub: real(sub)._replace(sigma=None))
+    T = yamanouchi((2, 1))
+    with pytest.raises(InvariantError) as exc:
+        sigma(T, 1, 2)
+    assert str(exc.value) == f"sigma_1 fell off the crystal at {T}"
+    f = tmp_path / "t.txt"
+    f.write_text("2,1/\n1 1 / 2\n", encoding="utf-8")
+    assert main(["apply", "--tableau", str(f), "--ops", "S1", "--n", "2"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: sigma_1 fell off the crystal at {T}\n")
 
 
 def test_string_partition_of_vertex_set():

@@ -1,7 +1,10 @@
-"""The package's public names, pinned, and the layer modules' __all__ lists."""
+"""The package's public names, pinned, the layer modules' __all__ lists,
+and the README's library tour."""
 
 import importlib
 import inspect
+import pathlib
+import re
 
 import shifted_crystal
 
@@ -33,3 +36,10 @@ def test_every_all_entry_resolves():
     for layer in ("core", "jdt", "operators", "involutions", "graph", "verify"):
         module = importlib.import_module(f"shifted_crystal.{layer}")
         assert [name for name in module.__all__ if not hasattr(module, name)] == [], layer
+
+
+def test_readme_library_tour_runs():
+    # the "Library tour" block runs as printed, so the documented API stays callable
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    tour = readme.read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    exec(re.search(r"```python\n(.*?)```", tour, re.S).group(1), {})
