@@ -3,6 +3,13 @@
 All of these need the alphabet bound n: star complements letter values in
 [n]', and the interval form eta_{p,q} acts on the letters [p,q]' only.
 
+star and evacuate build a tableau per step; they are the definitional
+single-tableau API, and reversal hands straight shapes to evacuate.  On a
+skew shape reversal runs its rectification, star, second rectification and
+unrectification as one batch on one jdt._SlideState, so a call standardizes
+T once and builds and checks one tableau, at the end;
+tests/oracles.py::reversal_by_composition is the three-step composition.
+
 eta_{p,q} is keyed on T's [p, q] subword (ShiftedTableau.interval_subword)
 and on q - p + 1, the alphabet it is reversed over.  Like the colour-i
 operators, reversal is coplactic and acts on the letters [p, q]' through
@@ -27,7 +34,7 @@ from .core import (
     is_primed,
     shared_shape,
 )
-from .jdt import _word_tableau, rectify, unrectify
+from .jdt import _rectify_state, _SlideState, _unrectify_state, _word_tableau, rectify
 
 __all__ = [
     "IntervalPermutation",
@@ -106,11 +113,20 @@ def evacuate(T: ShiftedTableau, n: int) -> ShiftedTableau:
 def reversal(T: ShiftedTableau, n: int) -> ShiftedTableau:
     """Coplactic extension of evacuation to skew shapes.
 
-    Rectify, evacuate, then undo the rectification slides; equals evacuation
-    on straight shapes.
+    Rectify, evacuate, then undo the rectification slides; on straight
+    shapes this is evacuation, and they go to evacuate.  On skew shapes all
+    three run on one standard state (jdt._SlideState): T is standardized
+    once, starred in place between the two rectifications, and
+    de-standardized and checked once at the end.
     """
-    R, record = rectify(T)
-    return unrectify(evacuate(R, n), record)
+    if T.shape.is_straight:
+        return evacuate(T, n)
+    state = _rectify_state(_SlideState(T))
+    steps, shape = state.steps, [len(row) for row in state.rows]
+    state.star(n)
+    if [len(row) for row in _rectify_state(state).rows] != shape:
+        raise InvariantError("evacuation changed the shape")
+    return _unrectify_state(state, steps, InvariantError).finish()
 
 
 def eta(T: ShiftedTableau, n: int) -> ShiftedTableau:

@@ -19,7 +19,10 @@ row (inner) or just outside the inner shape (outer).  A ShiftedTableau is
 built and checked once, when the batch finishes, on a shape shared through
 core.shared_shape.  Corners from the caller (inner_slide, outer_slide,
 replay, unrectify) are checked before each slide; rectify reads its corner
-rows off the inner parts.
+rows off the inner parts.  A batch may also star the state in place
+(_SlideState.star): involutions.reversal rectifies a skew tableau, stars,
+rectifies again and undoes the first slides (_unrectify_state, unrectify's
+loop) as one batch, so a whole reversal standardizes and checks once.
 
 A word is rectified on a tableau with reading word w whose rows are the
 maximal row-fitting runs of w; rectification depends only on the reading
@@ -139,6 +142,13 @@ def _addable_cells(parts):
     return cells
 
 
+def _complement(parts, m):
+    """The parts of {1..m} missing from parts, as a list, largest first
+    (StrictPartition.complement on lists)."""
+    present = set(parts)
+    return [v for v in range(m, 0, -1) if v not in present]
+
+
 def inner_corners(shape: SkewShape):
     """Maximal cells of the inner shape: where an inner slide may start."""
     return _inner_corners(shape.inner.parts)
@@ -226,10 +236,15 @@ class _SlideState:
         return end
 
     def slide_outer(self, corner):
-        outer = [len(row) for row in self.rows]
-        if corner not in _addable_cells(outer):
-            raise ValueError(f"{corner} cannot start an outer slide on {StrictPartition(outer)}")
-        return self.slide_out(corner[0] - 1)
+        rows = self.rows
+        i = corner[0] - 1
+        part = len(rows[i]) if 0 <= i < len(rows) else 0
+        # the addable cell of row i + 1 (_addable_cells), read off two rows
+        if not (0 <= i <= len(rows) and tuple(corner) == (i + 1, i + 1 + part)
+                and (not i or len(rows[i - 1]) > part + 1)):
+            outer = StrictPartition([len(row) for row in rows])
+            raise ValueError(f"{corner} cannot start an outer slide on {outer}")
+        return self.slide_out(i)
 
     def slide_out(self, i):
         """Outer slide into the cell after the end of row i + 1; returns the end.
@@ -271,6 +286,34 @@ class _SlideState:
             raise InvariantError(f"inner parts {inner} lose strictness in a slide from {start}")
         self.steps.append(("outer", start, end))
         return end
+
+    def star(self, n):
+        """involutions.star in place, on the standard form.
+
+        With m the first outer part, cell (r, c) goes to (m + 1 - c, m + 1 - r),
+        which keeps its place k = c - r in its row and moves from row index i to
+        m - 1 - i - k; number k of N goes to N + 1 - k, and the value list is
+        reversed and complemented in n.  The shape becomes
+        inner^complement / outer^complement.  The steps so far name cells of
+        the old shape, so a new step list begins.
+        """
+        values, rows, inner = self.values, self.rows, self.inner
+        if values and values[-1] > n:
+            raise ValueError(f"tableau uses values above n={n}")
+        m = len(rows[0]) if rows else 0
+        top = len(values) + 1
+        new_inner = _complement([len(row) for row in rows], m)
+        starred = [[0] * part for part in _complement(inner, m)]
+        for i, row in enumerate(rows):
+            for k in range(inner[i] if i < len(inner) else 0, len(row)):
+                j = m - 1 - i - k
+                if not (0 <= j < len(starred) and k < len(starred[j])
+                        and (j >= len(new_inner) or k >= new_inner[j])):
+                    raise InvariantError(
+                        f"star sends cell {(i + 1, i + 1 + k)} off the complement shape")
+                starred[j][k] = top - row[k]
+        self.rows, self.inner, self.steps = starred, new_inner, []
+        self.values = [n + 1 - v for v in reversed(values)]
 
     def finish(self) -> ShiftedTableau:
         """De-standardize into a tableau on the final shape."""
@@ -367,15 +410,20 @@ def unrectify(S: ShiftedTableau, record: SlideRecord) -> ShiftedTableau:
     """Undo a rectification by replaying its record backwards."""
     if any(kind != "inner" for kind, _, _ in record.steps):
         raise ValueError("unrectify expects a record of inner slides")
-    state = _SlideState(S)
-    for kind, corner, end in record.reversed().steps:
-        got = state.slide_outer(corner)
-        if got != end:
-            raise ValueError(
-                f"record does not match tableau: outer slide from {corner} "
-                f"ended at {got}, expected {end}"
+    return _unrectify_state(_SlideState(S), record.steps).finish()
+
+
+def _unrectify_state(state: _SlideState, steps, error=ValueError) -> _SlideState:
+    """Undo the inner slides `steps` on state, last first: an outer slide from
+    each end cell, which must come to rest on its start cell, else error."""
+    for _, start, end in reversed(steps):
+        got = state.slide_outer(end)
+        if got != start:
+            raise error(
+                f"record does not match tableau: outer slide from {end} "
+                f"ended at {got}, expected {start}"
             )
-    return state.finish()
+    return state
 
 
 def replay(T: ShiftedTableau, record: SlideRecord):

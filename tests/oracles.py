@@ -15,7 +15,10 @@ whatever its weight, where graph's LR counts rectify only the tableaux of
 the weight asked for.
 colour_one_by_subword computes one subword's colour-one record from its own
 rectification, where operators._colour_one fills a whole two-letter string
-from one."""
+from one.
+reversal_by_composition is reversal as three tableau operations: rectify,
+evacuate, unrectify; involutions.reversal runs all three on one standard
+state."""
 
 from shifted_crystal import (
     ShiftedTableau,
@@ -26,6 +29,7 @@ from shifted_crystal import (
     cactus_generators,
     enumerate_tableaux,
     eta_interval,
+    evacuate,
     is_lrs,
     knuth_neighbors,
     primed_lower,
@@ -249,6 +253,13 @@ def lrs_weight_counts_by_rectifying(shape: SkewShape, n: int) -> dict:
             wt = T.weight(n)
             counts[wt] = counts.get(wt, 0) + 1
     return counts
+
+
+def reversal_by_composition(T: ShiftedTableau, n: int) -> ShiftedTableau:
+    """Rectify T, evacuate the rectification, then undo the slides: each
+    step builds and checks its own tableau."""
+    R, record = rectify(T)
+    return unrectify(evacuate(R, n), record)
 
 
 def walk_tables_by_components(g):

@@ -9,10 +9,10 @@ out. Run it by path (CI does):
 
 import json
 
-from shifted_crystal import CrystalGraph, graph, verify_cactus
+from shifted_crystal import CrystalGraph, graph, reversal, verify_cactus
 from shifted_crystal.cli import main
 
-from oracles import target_ids_by_write_back, walk_tables_by_components
+from oracles import reversal_by_composition, target_ids_by_write_back, walk_tables_by_components
 from test_graph import _counted_calls
 
 SCALE = ("6,4,2", 5)
@@ -34,6 +34,27 @@ def test_walk_with_an_edge_dropped_matches_the_component_oracle(graph_cache):
     walked = graph._walk_tables(broken)
     assert walked[2], "no violation with the first edge dropped"
     assert walked == walk_tables_by_components(broken)
+
+
+def test_walk_with_a_mid_string_edge_dropped_matches_the_component_oracle(graph_cache):
+    # the first edge inside a string (its source has an edge of the same
+    # label in, its target one out) is cut, so the walk meets a gap where the
+    # first-edge case above only miscounts extremal elements
+    g = graph_cache(*SCALE)
+    cut = next(k for k, (u, v, colour, primed) in enumerate(g.edges)
+               if g.up[colour, primed][u] is not None and g.down[colour, primed][v] is not None)
+    broken = CrystalGraph(g.shape, g.n, g.vertices, g.edges[:cut] + g.edges[cut + 1:])
+    walked = graph._walk_tables(broken)
+    kinds = {v["kind"] for v in walked[2]}
+    assert kinds - {"extremal_count"}, kinds
+    assert walked == walk_tables_by_components(broken)
+
+
+def test_reversal_matches_the_composition_oracle_at_scale(graph_cache):
+    # one standard state against rectify, evacuate and unrectify at every vertex
+    g = graph_cache(*SCALE)
+    for T in g.vertices:
+        assert reversal(T, g.n) == reversal_by_composition(T, g.n), T
 
 
 def test_target_ids_match_the_write_back_oracle_at_scale(graph_cache, monkeypatch):

@@ -1,25 +1,34 @@
 """Star, evacuation, reversal, eta, and interval restrictions of eta."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shifted_crystal import (
+    EMPTY_TABLEAU,
     IntervalPermutation,
     ShiftedTableau,
     SkewShape,
     StrictPartition,
+    Word,
     enumerate_tableaux,
     eta,
     eta_interval,
     evacuate,
+    involutions,
     is_lrs,
+    jdt,
     lrs_weight_counts,
+    rectify,
     reversal,
     star,
     strict_partitions_inside,
     yamanouchi,
 )
+from shifted_crystal.cli import main
+from shifted_crystal.core import InvariantError, canonicalize_codes
+from shifted_crystal.jdt import _word_tableau, strip_tableau
 
-from oracles import knuth_equivalent
+from oracles import knuth_equivalent, reversal_by_composition
 
 
 def test_interval_permutation():
@@ -87,6 +96,141 @@ def test_reversal_properties():
             assert knuth_equivalent(r.reading_word(n), star(T, n).reading_word(n))
             if shape.is_straight:
                 assert r == evacuate(T, n)
+
+
+ORACLE_SHAPES = ("1", "2,1", "3,1", "3,2", "4,2,1",
+                 "3,1/1", "3,2/1", "4,2/2", "4,2,1/2", "6,4,1/3,1")
+
+
+def test_reversal_matches_the_composition_oracle():
+    # one standard state against rectify, evacuate and unrectify, each on
+    # its own tableau
+    for shape_text in ORACLE_SHAPES:
+        shape = SkewShape.parse(shape_text)
+        for n in range(1, 5):
+            for T in enumerate_tableaux(shape, n):
+                assert reversal(T, n) == reversal_by_composition(T, n), (T, n)
+
+
+def test_star_of_a_slide_state_is_star():
+    # complement and reflection on the standard form, de-standardized
+    for shape_text in ORACLE_SHAPES:
+        shape = SkewShape.parse(shape_text)
+        for n in range(1, 5):
+            for T in enumerate_tableaux(shape, n):
+                state = jdt._SlideState(T)
+                state.star(n)
+                assert state.finish() == star(T, n), (T, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 8), max_size=10), st.integers(0, 2))
+def test_reversal_matches_the_composition_oracle_on_word_tableaux(codes, extra):
+    # both word layouts of a random canonical word over [4]', at an alphabet
+    # bound at or above its largest letter
+    codes = canonicalize_codes(codes)
+    n = max([(x + 1) // 2 for x in codes] + [1]) + extra
+    for T in (strip_tableau(Word(codes, n)), _word_tableau(codes)):
+        assert reversal(T, n) == reversal_by_composition(T, n), (T, n)
+
+
+def test_reversal_of_a_straight_tableau_is_its_evacuation(monkeypatch):
+    T = ShiftedTableau.parse("4,2", "1 1 2' 2 / 2 3")
+    calls = []
+    monkeypatch.setattr(involutions, "evacuate", lambda T, n: calls.append(T) or evacuate(T, n))
+    assert reversal(T, 3) == evacuate(T, 3) and calls == [T]
+
+
+def test_reversal_of_an_empty_skew_tableau_keeps_its_shape():
+    for shape_text in ("2/2", "3,1/3,1"):
+        T = ShiftedTableau(SkewShape.parse(shape_text), ())
+        assert reversal(T, 2) == T == reversal_by_composition(T, 2)
+    assert reversal(EMPTY_TABLEAU, 1) == EMPTY_TABLEAU
+
+
+def test_reversal_refuses_values_above_n():
+    T = ShiftedTableau.parse("3,1/1", "1 2 / 3")
+    for fn in (reversal, reversal_by_composition):
+        with pytest.raises(ValueError) as exc:
+            fn(T, 2)
+        assert str(exc.value) == "tableau uses values above n=2"
+
+
+# ---------------------------------------------------------------------------
+# guards: each fault the theory rules out is an InvariantError, reached here
+# by injecting it
+
+def _off_the_staircase(monkeypatch):
+    # every complement keeps its largest part only
+    real = jdt._complement
+    monkeypatch.setattr(jdt, "_complement", lambda parts, m: real(parts, m)[:1])
+
+
+def test_star_of_a_state_refuses_a_cell_off_the_complement_shape(monkeypatch):
+    # 1 1 / 2 on (3, 1)/(1) rectifies to shape (2, 1), which stars into the
+    # stair (2, 1), here cut to (2); cell (1, 1) goes to (2, 2)
+    _off_the_staircase(monkeypatch)
+    with pytest.raises(InvariantError) as exc:
+        reversal(ShiftedTableau.parse("3,1/1", "1 1 / 2"), 2)
+    assert str(exc.value) == "star sends cell (1, 1) off the complement shape"
+
+
+def test_reversal_refuses_an_evacuation_that_changes_the_shape(monkeypatch):
+    # 1 1 1 / 2 on (4, 1)/(1) rectifies to shape (3, 1); the second
+    # rectification is skipped, so the shape stays starred: (3, 2, 1)/(2)
+    real, calls = involutions._rectify_state, []
+    monkeypatch.setattr(involutions, "_rectify_state",
+                        lambda state: calls.append(state) or
+                        (real(state) if len(calls) == 1 else state))
+    with pytest.raises(InvariantError) as exc:
+        reversal(ShiftedTableau.parse("4,1/1", "1 1 1 / 2"), 2)
+    assert str(exc.value) == "evacuation changed the shape"
+
+
+def test_reversal_refuses_a_replay_that_misses_its_start_cell(monkeypatch):
+    # the first slide of the rectification is recorded as starting at (9, 9)
+    T = ShiftedTableau.parse("3,1/1", "1 2' / 2")
+    _, start, end = rectify(T)[1].steps[0]
+    real = involutions._rectify_state
+
+    def tampered(state):  # the second rectification's steps are not replayed
+        real(state)
+        if state.steps:
+            state.steps[0] = ("inner", (9, 9), end)
+        return state
+
+    monkeypatch.setattr(involutions, "_rectify_state", tampered)
+    with pytest.raises(InvariantError) as exc:
+        reversal(T, 2)
+    assert str(exc.value) == (f"record does not match tableau: outer slide from {end} "
+                              f"ended at {start}, expected (9, 9)")
+
+
+def test_reversal_command_exits_3_on_an_internal_error(monkeypatch, tmp_path, capsys):
+    _off_the_staircase(monkeypatch)
+    f = tmp_path / "t.txt"
+    f.write_text("3,1/1\n1 1 / 2\n", encoding="utf-8")
+    assert main(["reversal", "--tableau", str(f), "--n", "2"]) == 3
+    assert capsys.readouterr() == (
+        "", "internal error: star sends cell (1, 1) off the complement shape\n")
+
+
+@pytest.mark.parametrize("parts", [(3, 1), (3,)], ids=["size", "cell"])
+def test_star_refuses_a_complement_it_does_not_fill(monkeypatch, parts):
+    # star(Y((2, 1)), 2) has shape (2, 1); (3, 1) is too large, and (3) has
+    # the right size but no cell (2, 2) for (1, 1) to go to
+    monkeypatch.setattr(involutions, "shared_shape",
+                        lambda outer, inner: SkewShape(parts))
+    with pytest.raises(InvariantError) as exc:
+        star(yamanouchi((2, 1)), 2)
+    assert str(exc.value) == "star reflection does not fill the complement shape"
+
+
+def test_evacuate_refuses_a_rectification_of_another_shape(monkeypatch):
+    monkeypatch.setattr(involutions, "rectify", lambda T: (yamanouchi((1,)), None))
+    with pytest.raises(InvariantError) as exc:
+        evacuate(yamanouchi((2, 1)), 2)
+    assert str(exc.value) == "evacuation changed the shape"
 
 
 def test_lrs_bijection_through_star_of_reversal():

@@ -36,6 +36,20 @@ def test_inner_corners_and_addable():
     assert addable_cells(StrictPartition.parse("")) == [(1, 1)]
 
 
+def test_outer_slide_starts_at_the_addable_cells_only():
+    # every cell near the shape, against the listed addable cells
+    for shape_text in ("", "1", "2", "2,1", "3,1", "4,2,1"):
+        T = yamanouchi(StrictPartition.parse(shape_text))
+        addable = addable_cells(T.shape.outer)
+        for corner in [(r, c) for r in range(-1, 6) for c in range(-1, 8)]:
+            if corner in addable:
+                assert outer_slide(T, corner).shape.inner.size == 1
+                continue
+            with pytest.raises(ValueError) as exc:
+                outer_slide(T, corner)
+            assert str(exc.value) == f"{corner} cannot start an outer slide on {T.shape.outer}"
+
+
 def test_single_slide_golden():
     T = ShiftedTableau.parse("2,1/1", "1 / 2")
     out = inner_slide(T, (1, 1))
