@@ -121,6 +121,13 @@ def parse_letter(token: str) -> int:
 # ---------------------------------------------------------------------------
 # Strict partitions
 
+def _stair_complement(parts, m) -> list:
+    """The parts of {1..m} missing from parts, largest first: the complement
+    of a strict partition in the stair (m, m-1, ..., 1), on lists."""
+    present = set(parts)
+    return [v for v in range(m, 0, -1) if v not in present]
+
+
 @functools.total_ordering
 class StrictPartition(_Frozen):
     """A strictly decreasing sequence of positive integers."""
@@ -185,8 +192,7 @@ class StrictPartition(_Frozen):
         """
         if self.parts and self.parts[0] > m:
             raise ValueError(f"{self} does not fit in the stair of width {m}")
-        present = set(self.parts)
-        return StrictPartition(sorted((v for v in range(1, m + 1) if v not in present), reverse=True))
+        return StrictPartition(_stair_complement(self.parts, m))
 
     def __eq__(self, other):
         if isinstance(other, StrictPartition):

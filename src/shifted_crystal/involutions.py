@@ -3,12 +3,15 @@
 All of these need the alphabet bound n: star complements letter values in
 [n]', and the interval form eta_{p,q} acts on the letters [p,q]' only.
 
-star and evacuate build a tableau per step; they are the definitional
-single-tableau API, and reversal hands straight shapes to evacuate.  On a
-skew shape reversal runs its rectification, star, second rectification and
-unrectification as one batch on one jdt._SlideState, so a call standardizes
-T once and builds and checks one tableau, at the end;
-tests/oracles.py::reversal_by_composition is the three-step composition.
+The star reflection has one home, jdt._SlideState.star, on the standard
+form: star standardizes T, reflects it and builds one tableau, and evacuate
+is rectify(star(T)), the definitional single-tableau API, to which reversal
+hands straight shapes.  On a skew shape reversal runs its rectification,
+star, second rectification and unrectification as one batch on one
+jdt._SlideState, so a call standardizes T once and builds and checks one
+tableau, at the end.  tests/oracles.py keeps the reflection by cells and
+letters (star_by_cells) and the three-step composition
+(reversal_by_composition).
 
 eta_{p,q} is keyed on T's [p, q] subword (ShiftedTableau.interval_subword)
 and on q - p + 1, the alphabet it is reversed over.  Like the colour-i
@@ -22,18 +25,7 @@ per key, and the answer is written back into the same reading positions
 
 import functools
 
-from .core import (
-    EMPTY_TABLEAU,
-    InvariantError,
-    ShiftedTableau,
-    Word,
-    _Frozen,
-    canonicalize_codes,
-    letter,
-    letter_value,
-    is_primed,
-    shared_shape,
-)
+from .core import EMPTY_TABLEAU, InvariantError, ShiftedTableau, Word, _Frozen
 from .jdt import _rectify_state, _SlideState, _unrectify_state, _word_tableau, rectify
 
 __all__ = [
@@ -81,23 +73,14 @@ def star(T: ShiftedTableau, n: int) -> ShiftedTableau:
     The stair is built from the first outer part; entries map by
     i -> (n - i + 1)' and i' -> n - i + 1, cells by
     (r, c) -> (m + 1 - c, m + 1 - r).  The result has shape
-    inner^complement / outer^complement and reversed weight.
+    inner^complement / outer^complement and reversed weight.  The reflection
+    runs on T's standard form (jdt._SlideState.star).
     """
     if T.size == 0:
         return EMPTY_TABLEAU
-    if T.max_value() > n:
-        raise ValueError(f"tableau uses values above n={n}")
-    m = T.shape.outer.parts[0]
-    shape = shared_shape(T.shape.inner.complement(m).parts, T.shape.outer.complement(m).parts)
-    if shape.size != T.size:
-        raise InvariantError("star reflection does not fill the complement shape")
-    codes = [0] * shape.size
-    for (r, c), x in zip(T.shape.cells_reading, T.word_codes):
-        k = shape.position.get((m + 1 - c, m + 1 - r))
-        if k is None:
-            raise InvariantError("star reflection does not fill the complement shape")
-        codes[k] = letter(n - letter_value(x) + 1, not is_primed(x))
-    return ShiftedTableau(shape, canonicalize_codes(codes))
+    state = _SlideState(T)
+    state.star(n)
+    return state.finish()
 
 
 def evacuate(T: ShiftedTableau, n: int) -> ShiftedTableau:

@@ -20,9 +20,12 @@ built and checked once, when the batch finishes, on a shape shared through
 core.shared_shape.  Corners from the caller (inner_slide, outer_slide,
 replay, unrectify) are checked before each slide; rectify reads its corner
 rows off the inner parts.  A batch may also star the state in place
-(_SlideState.star): involutions.reversal rectifies a skew tableau, stars,
-rectifies again and undoes the first slides (_unrectify_state, unrectify's
-loop) as one batch, so a whole reversal standardizes and checks once.
+(_SlideState.star), the library's one star reflection: involutions.star is
+that reflection and a finish, and involutions.reversal rectifies a skew
+tableau, stars, rectifies again and undoes the first slides
+(_unrectify_state, unrectify's loop) as one batch, so a whole reversal
+standardizes and checks once.  The stair complement it reflects into is
+core's (StrictPartition.complement on lists).
 
 A word is rectified on a tableau with reading word w whose rows are the
 maximal row-fitting runs of w; rectification depends only on the reading
@@ -52,6 +55,7 @@ from .core import (
     StrictPartition,
     Word,
     _Frozen,
+    _stair_complement as _complement,
     destandardize_codes,
     letter,
     letter_value,
@@ -140,13 +144,6 @@ def _addable_cells(parts):
             continue
         cells.append((r, r + part))
     return cells
-
-
-def _complement(parts, m):
-    """The parts of {1..m} missing from parts, as a list, largest first
-    (StrictPartition.complement on lists)."""
-    present = set(parts)
-    return [v for v in range(m, 0, -1) if v not in present]
 
 
 def inner_corners(shape: SkewShape):
@@ -288,14 +285,14 @@ class _SlideState:
         return end
 
     def star(self, n):
-        """involutions.star in place, on the standard form.
+        """The star reflection (involutions.star) in place, on the standard form.
 
         With m the first outer part, cell (r, c) goes to (m + 1 - c, m + 1 - r),
         which keeps its place k = c - r in its row and moves from row index i to
         m - 1 - i - k; number k of N goes to N + 1 - k, and the value list is
         reversed and complemented in n.  The shape becomes
-        inner^complement / outer^complement.  The steps so far name cells of
-        the old shape, so a new step list begins.
+        inner^complement / outer^complement in the stair of width m.  The
+        steps so far name cells of the old shape, so a new step list begins.
         """
         values, rows, inner = self.values, self.rows, self.inner
         if values and values[-1] > n:
@@ -312,6 +309,9 @@ class _SlideState:
                     raise InvariantError(
                         f"star sends cell {(i + 1, i + 1 + k)} off the complement shape")
                 starred[j][k] = top - row[k]
+        # distinct cells went to distinct cells of it: it is filled if no larger
+        if sum(map(len, starred)) - sum(new_inner) != len(values):
+            raise InvariantError("star reflection does not fill the complement shape")
         self.rows, self.inner, self.steps = starred, new_inner, []
         self.values = [n + 1 - v for v in reversed(values)]
 

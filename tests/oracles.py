@@ -17,10 +17,13 @@ colour_one_by_subword computes one subword's colour-one record from its own
 rectification, where operators._colour_one fills a whole two-letter string
 from one.
 reversal_by_composition is reversal as three tableau operations: rectify,
-evacuate, unrectify; involutions.reversal runs all three on one standard
-state."""
+evacuation (star_by_cells, then rectify) and unrectify; involutions.reversal
+runs all three on one standard state.  star_by_cells reflects a tableau cell
+by cell and complements its letters, where involutions.star reflects its
+standard form (jdt._SlideState.star)."""
 
 from shifted_crystal import (
+    EMPTY_TABLEAU,
     ShiftedTableau,
     SkewShape,
     StrictPartition,
@@ -29,7 +32,6 @@ from shifted_crystal import (
     cactus_generators,
     enumerate_tableaux,
     eta_interval,
-    evacuate,
     is_lrs,
     knuth_neighbors,
     primed_lower,
@@ -38,7 +40,14 @@ from shifted_crystal import (
     unrectify,
     yamanouchi,
 )
-from shifted_crystal.core import InvariantError, canonicalize_codes, write_subword
+from shifted_crystal.core import (
+    InvariantError,
+    canonicalize_codes,
+    is_primed,
+    letter,
+    letter_value,
+    write_subword,
+)
 from shifted_crystal.graph import _edge_count
 from shifted_crystal.jdt import strip_tableau
 from shifted_crystal.operators import _Colour1, _colour_one, _place_facts, _two_letter_string
@@ -255,11 +264,36 @@ def lrs_weight_counts_by_rectifying(shape: SkewShape, n: int) -> dict:
     return counts
 
 
+def star_by_cells(T: ShiftedTableau, n: int) -> ShiftedTableau:
+    """The star reflection on cells and letters: cell (r, c) goes to
+    (m + 1 - c, m + 1 - r) in the stair of the first outer part m, and
+    letter i to (n - i + 1)', i' to n - i + 1."""
+    if T.size == 0:
+        return EMPTY_TABLEAU
+    if T.max_value() > n:
+        raise ValueError(f"tableau uses values above n={n}")
+    m = T.shape.outer.parts[0]
+    shape = SkewShape(T.shape.inner.complement(m), T.shape.outer.complement(m))
+    if shape.size != T.size:
+        raise InvariantError("star reflection does not fill the complement shape")
+    codes = [0] * shape.size
+    for (r, c), x in zip(T.shape.cells_reading, T.word_codes):
+        k = shape.position.get((m + 1 - c, m + 1 - r))
+        if k is None:
+            raise InvariantError("star reflection does not fill the complement shape")
+        codes[k] = letter(n - letter_value(x) + 1, not is_primed(x))
+    return ShiftedTableau(shape, canonicalize_codes(codes))
+
+
 def reversal_by_composition(T: ShiftedTableau, n: int) -> ShiftedTableau:
-    """Rectify T, evacuate the rectification, then undo the slides: each
-    step builds and checks its own tableau."""
+    """Rectify T, evacuate the rectification (star it by cells and rectify
+    again), then undo the slides: each step builds and checks its own
+    tableau."""
     R, record = rectify(T)
-    return unrectify(evacuate(R, n), record)
+    E = rectify(star_by_cells(R, n))[0]
+    if E.shape != R.shape:
+        raise InvariantError("evacuation changed the shape")
+    return unrectify(E, record)
 
 
 def walk_tables_by_components(g):

@@ -334,6 +334,9 @@ def test_usage_errors_exit_2(tmp_path):
     (["enumerate", "--shape", "a,b", "--n", "2"], "cannot parse part 'a' of 'a,b'"),
     (["lrs-count", "--lambda", "3,1", "--mu", "x", "--nu", "1"], "cannot parse part 'x' of 'x'"),
     (["verify", "cactus", "--shape", "2,x"], "cannot parse part 'x' of '2,x'"),
+    # lrs_count((3, 1), (1,), (1, 2)) is 0; the command refuses the part list
+    (["lrs-count", "--lambda", "3,1", "--mu", "1", "--nu", "1,2"],
+     "parts not strictly decreasing: (1, 2)"),
 ])
 def test_a_part_that_is_not_an_integer_exits_2_and_names_the_text(argv, message, capsys):
     assert main(argv) == 2

@@ -22,6 +22,7 @@ from shifted_crystal import (
 from shifted_crystal.core import (
     InvariantError,
     _enumerate,
+    _leaf,
     canonicalize_codes,
     destandardize_codes,
     is_primed,
@@ -608,6 +609,22 @@ def test_value_boundary_chain_is_nested():
             assert cur.contains(prev)
             prev = cur
         assert prev == T.shape.outer
+
+
+def test_restriction_guards_refuse_a_filling_that_is_not_a_tableau():
+    # unchecked fillings (core._leaf) that no tableau has; each guard reports
+    # what the theory rules out for a real one
+    # 2 2 / 1: the letters <= 1 sit in row 2 alone
+    T = _leaf(shared_shape((2, 1), ()), (2, 4, 4))
+    with pytest.raises(InvariantError) as exc:
+        T.value_boundary(1)
+    assert str(exc.value) == ("letters <= 1 do not form a shape: "
+                              "parts not strictly decreasing: (0, 1)")
+    # 1 2 1 / 3: the 1s are cells (1, 1) and (1, 3), not the shape (1)
+    U = _leaf(shared_shape((3, 1), ()), (6, 2, 4, 2))
+    with pytest.raises(InvariantError) as exc:
+        U.restrict(1, 1)
+    assert str(exc.value) == "interval restriction does not match its boundary"
 
 
 def test_text_format_roundtrip():

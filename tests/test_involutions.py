@@ -28,7 +28,7 @@ from shifted_crystal.cli import main
 from shifted_crystal.core import InvariantError, canonicalize_codes
 from shifted_crystal.jdt import _word_tableau, strip_tableau
 
-from oracles import knuth_equivalent, reversal_by_composition
+from oracles import knuth_equivalent, reversal_by_composition, star_by_cells
 
 
 def test_interval_permutation():
@@ -113,14 +113,13 @@ def test_reversal_matches_the_composition_oracle():
 
 
 def test_star_of_a_slide_state_is_star():
-    # complement and reflection on the standard form, de-standardized
+    # star reflects the standard form and de-standardizes; the oracle
+    # reflects cells and complements letters
     for shape_text in ORACLE_SHAPES:
         shape = SkewShape.parse(shape_text)
         for n in range(1, 5):
             for T in enumerate_tableaux(shape, n):
-                state = jdt._SlideState(T)
-                state.star(n)
-                assert state.finish() == star(T, n), (T, n)
+                assert star(T, n) == star_by_cells(T, n), (T, n)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -215,15 +214,18 @@ def test_reversal_command_exits_3_on_an_internal_error(monkeypatch, tmp_path, ca
         "", "internal error: star sends cell (1, 1) off the complement shape\n")
 
 
-@pytest.mark.parametrize("parts", [(3, 1), (3,)], ids=["size", "cell"])
-def test_star_refuses_a_complement_it_does_not_fill(monkeypatch, parts):
-    # star(Y((2, 1)), 2) has shape (2, 1); (3, 1) is too large, and (3) has
-    # the right size but no cell (2, 2) for (1, 1) to go to
-    monkeypatch.setattr(involutions, "shared_shape",
-                        lambda outer, inner: SkewShape(parts))
+@pytest.mark.parametrize("parts, message", [
+    ((3, 1), "star reflection does not fill the complement shape"),
+    ((3,), "star sends cell (1, 1) off the complement shape"),
+], ids=["size", "cell"])
+def test_star_refuses_a_complement_it_does_not_fill(monkeypatch, parts, message):
+    # star(Y((2, 1)), 2) has shape (2, 1): the empty inner part list
+    # complements to the outer parts, here (3, 1), too large, or (3), of the
+    # right size but with no cell (2, 2) for (1, 1) to go to
+    monkeypatch.setattr(jdt, "_complement", lambda have, m: [] if have else list(parts))
     with pytest.raises(InvariantError) as exc:
         star(yamanouchi((2, 1)), 2)
-    assert str(exc.value) == "star reflection does not fill the complement shape"
+    assert str(exc.value) == message
 
 
 def test_evacuate_refuses_a_rectification_of_another_shape(monkeypatch):

@@ -1,12 +1,28 @@
 """The package's public names, pinned, the layer modules' __all__ lists,
-and the README's library tour."""
+the README's library tour, and the small dunder methods of the values."""
 
+import ast
+import functools
 import importlib
 import inspect
 import pathlib
 import re
 
+import pytest
+
 import shifted_crystal
+from shifted_crystal import (
+    IntervalPermutation,
+    ShiftedTableau,
+    SkewShape,
+    SlideRecord,
+    StrictPartition,
+    Word,
+    build_graph,
+    classify_string,
+)
+
+LAYERS = ("core", "jdt", "operators", "involutions", "graph", "verify")
 
 PUBLIC = [
     "Component", "CrystalGraph", "EMPTY_PARTITION", "EMPTY_SHAPE", "EMPTY_TABLEAU",
@@ -33,7 +49,7 @@ def test_public_names_are_pinned():
 
 def test_every_all_entry_resolves():
     # perfbench's tracer getattr()s every __all__ name of the layer modules
-    for layer in ("core", "jdt", "operators", "involutions", "graph", "verify"):
+    for layer in LAYERS:
         module = importlib.import_module(f"shifted_crystal.{layer}")
         assert [name for name in module.__all__ if not hasattr(module, name)] == [], layer
 
@@ -43,3 +59,49 @@ def test_readme_library_tour_runs():
     readme = pathlib.Path(__file__).parents[1] / "README.md"
     tour = readme.read_text(encoding="utf-8").split("## Library tour", 1)[1]
     exec(re.search(r"```python\n(.*?)```", tour, re.S).group(1), {})
+
+
+_T = ShiftedTableau.parse("3,1/1", "1 2 / 2")
+_G = build_graph(SkewShape.parse("2,1"), 2)
+_STEPS = [("inner", (1, 1), (1, 2))]
+
+# every class of the package that defines __repr__, with a value and its repr
+REPRS = {
+    "StrictPartition": (_T.shape.outer, "StrictPartition((3, 1))"),
+    "SkewShape": (_T.shape, "SkewShape((3, 1), (1,))"),
+    "Word": (Word.parse("1 2' 2"), "Word('1 2 2', n=2)"),
+    "ShiftedTableau": (_T, "ShiftedTableau(SkewShape((3, 1), (1,)), '1 2 / 2')"),
+    "SlideRecord": (SlideRecord(_STEPS), "SlideRecord([('inner', (1, 1), (1, 2))])"),
+    "IntervalPermutation": (IntervalPermutation(2, 4), "IntervalPermutation(2, 4)"),
+    "StringDescriptor": (classify_string(_T, 1, 2),
+                         "StringDescriptor(color=1, kind=collapsed, size=4)"),
+    "Component": (_G.components[0], "Component(2 vertices)"),
+    "CrystalGraph": (_G, "CrystalGraph(shape=2,1/, n=2, |V|=2, |E|=1)"),
+}
+
+
+# each call runs one dunder method
+DUNDERS = {
+    **{f"repr-{name}": (functools.partial(repr, value), text)
+       for name, (value, text) in REPRS.items()},
+    "StrictPartition-iter": (lambda: list(StrictPartition((3, 1))), [3, 1]),
+    "StrictPartition-eq-other-type": (lambda: StrictPartition((1,)).__eq__([1]), NotImplemented),
+    "SkewShape-contains": (lambda: [(1, 1) in _T.shape, (1, 2) in _T.shape], [False, True]),
+    "SlideRecord-hash": (lambda: len({SlideRecord(_STEPS), SlideRecord(tuple(_STEPS)),
+                                      SlideRecord()}), 2),
+}
+
+
+@pytest.mark.parametrize("call, expected", DUNDERS.values(), ids=DUNDERS.keys())
+def test_small_dunders(call, expected):
+    got = call()
+    assert got is expected if expected is NotImplemented else got == expected
+
+
+def test_every_repr_of_the_package_is_in_the_dunder_table():
+    src = pathlib.Path(shifted_crystal.__file__).parent
+    defined = {node.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)
+               and any(getattr(f, "name", None) == "__repr__" for f in node.body)}
+    assert defined == set(REPRS)

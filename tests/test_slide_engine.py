@@ -332,6 +332,26 @@ def test_a_corrupted_state_raises_on_its_next_slide():
     state.rows[1].append(5)
     with pytest.raises(InvariantError, match="outer parts"):
         state.slide_out(1)
+    # an entry lost from row 1: the outer slide's hole cannot go north, and
+    # stays in row 2, whose inner part grows to row 1's
+    state = _state("4,2/2,1", "1 1 / 2")
+    state.rows[0][2] = 0
+    with pytest.raises(InvariantError) as exc:
+        state.slide_out(1)
+    assert str(exc.value) == "inner parts [2, 2] lose strictness in a slide from (2, 4)"
+    # finishing: three 1s in reading positions 0, 2, 1 have no canonical
+    # prime split, and 2 before 1 in a row is not semistandard
+    state = _state("3", "1 1 1")
+    state.rows = [[1, 3, 2]]
+    with pytest.raises(InvariantError) as exc:
+        state.finish()
+    assert str(exc.value) == "no canonical prime split for [1, 1, 1] at [0, 2, 1]"
+    state = _state("2", "1 2")
+    state.rows = [[2, 1]]
+    with pytest.raises(InvariantError) as exc:
+        state.finish()
+    assert str(exc.value) == ("de-standardization is not semistandard: "
+                              "row 1 decreasing at column 2")
 
 
 def test_the_state_holds_entries_per_row():
