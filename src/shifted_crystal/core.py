@@ -20,13 +20,15 @@ the word from it with destandardize_codes.
 
 Shapes that the library builds itself come from shared_shape, a bounded
 cache holding one SkewShape per (outer, inner) pair of part tuples; the
-SkewShape constructor still builds a fresh one.  Enumerations are not
-cached.  One may be restricted to a content, which the Littlewood-Richardson
-counts use, and build_graph and those counts stop it at cap + 1 tableaux.  The
-enumerator and ShiftedTableau.check test each letter against the neighbours
-in its row and column only: rows and columns of a shifted skew shape are
-contiguous and weakly increasing, so a second v' in a row, or a second
-unprimed v in a column, would sit next to the first.
+SkewShape constructor still builds a fresh one.  An enumeration stores its
+reading words back to back in one buffer, bytes while every code fits in a
+byte, and builds each tableau only when it is read (_Leaves); enumerations
+are not cached.  One may be restricted to a content, which the
+Littlewood-Richardson counts use, and build_graph and those counts stop it
+at cap + 1 words.  The enumerator and ShiftedTableau.check test each letter
+against the neighbours in its row and column only: rows and columns of a
+shifted skew shape are contiguous and weakly increasing, so a second v' in
+a row, or a second unprimed v in a column, would sit next to the first.
 
 Operators on the letters [p, q]' see only the interval subword: those
 letters in reading order, shifted down to [1, q - p + 1]'
@@ -708,7 +710,45 @@ def _leaf(shape, word, new=object.__new__, set_shape=ShiftedTableau.shape.__set_
     return T
 
 
-def _enumerate(shape: SkewShape, n: int, limit: int = None, content=None) -> tuple:
+class _Leaves(_Frozen):
+    """The tableaux of one enumeration, as a read-only sequence: count
+    words of width letters each, back to back in codes, each built into a
+    tableau (_leaf) on access.  Slices are tuples, and it equals a tuple or
+    another _Leaves holding equal tableaux in the same order."""
+
+    __slots__ = ("shape", "codes", "width", "count")
+
+    def __init__(self, shape, codes, width, count):
+        for name, value in zip(self.__slots__, (shape, codes, width, count)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(self.count)[index]))
+        k = index + self.count if index < 0 else index
+        if not 0 <= k < self.count:
+            raise IndexError(f"tableau index {index} out of range")
+        start = k * self.width
+        return _leaf(self.shape, tuple(self.codes[start:start + self.width]))
+
+    def __iter__(self):
+        shape, codes, w = self.shape, self.codes, self.width
+        for k in range(self.count):
+            yield _leaf(shape, tuple(codes[k * w:k * w + w]))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Leaves)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return f"_Leaves({self.shape!r}, {self.count} tableaux)"
+
+
+def _enumerate(shape: SkewShape, n: int, limit: int = None, content=None) -> _Leaves:
     """enumerate_tableaux(shape, n), or its first limit tableaux when limit
     (at least 1) is given: the search unwinds once it has that many.  Given
     content, n letter counts summing to the shape's size, only the tableaux
@@ -716,18 +756,21 @@ def _enumerate(shape: SkewShape, n: int, limit: int = None, content=None) -> tup
 
     Code x fits when west <= x <= south (both read before it), a primed x
     differs from west and its value is already placed unprimed, and an
-    unprimed x differs from south: exact, by the module docstring.
+    unprimed x differs from south: exact, by the module docstring.  Each
+    leaf's word goes onto one buffer (_Leaves), a bytearray while every
+    code fits in a byte and a list above that; no tableau is built here.
     """
     if n < 0:
         raise ValueError("alphabet bound must be non-negative")
     shape = shared_shape(shape.outer.parts, shape.inner.parts)
     cells = shape.cells_reading
     if not cells:
-        return (ShiftedTableau(shape, ()),)
+        return _Leaves(shape, b"", 0, 1)
     # reading positions of the west and south neighbours, both read earlier
     west_of, below_of = shape.west, shape.south
     last, top = len(cells) - 1, 2 * n
-    results = []
+    pack, words = (bytes, bytearray()) if top < 256 else (tuple, [])
+    stop = None if limit is None else limit * len(cells)
     word = [0] * len(cells)
     placed = [0] * (top + 1)  # letters placed, by code: placed[2v] counts unprimed v
 
@@ -735,7 +778,7 @@ def _enumerate(shape: SkewShape, n: int, limit: int = None, content=None) -> tup
         west, below = west_of[idx], below_of[idx]
         w = word[west] if west is not None else 0
         s = word[below] if below is not None else 0
-        prefix = tuple(word[:last]) if idx == last else None
+        prefix = pack(word[:last]) if idx == last else None
         for code in range(w or 1, (s or top) + 1):
             if code % 2:
                 if code == w or not placed[code + 1]:
@@ -747,8 +790,9 @@ def _enumerate(shape: SkewShape, n: int, limit: int = None, content=None) -> tup
                 if placed[2 * v - 1] + placed[2 * v] >= content[v - 1]:
                     continue
             if prefix is not None:
-                results.append(_leaf(shape, prefix + (code,)))
-                if len(results) == limit:
+                words.extend(prefix)
+                words.append(code)
+                if len(words) == stop:
                     return False  # unwinds the whole search
             else:
                 word[idx] = code
@@ -759,14 +803,17 @@ def _enumerate(shape: SkewShape, n: int, limit: int = None, content=None) -> tup
         return True
 
     place(0)
-    return tuple(results)
+    return _Leaves(shape, words, len(cells), len(words) // len(cells))
 
 
-def enumerate_tableaux(shape: SkewShape, n: int) -> tuple:
+def enumerate_tableaux(shape: SkewShape, n: int) -> _Leaves:
     """All canonical semistandard fillings of the shape over [n]'.
 
-    Deterministic: sorted lexicographically by reading word.  Nothing is
-    cached: each call enumerates afresh and the caller owns the tuple.
+    Deterministic: sorted lexicographically by reading word.  The result is
+    a read-only sequence that holds the reading words and builds each
+    tableau on access; it equals the tuple of those tableaux.  Nothing is
+    cached: each call enumerates afresh, and a tableau read twice is built
+    twice.
     """
     return _enumerate(shape, n)
 

@@ -27,6 +27,7 @@ from .core import (
     SkewShape,
     StrictPartition,
     Word,
+    _Leaves,
     _enumerate,
     shared_shape,
     strict_partitions_of,
@@ -213,9 +214,10 @@ def _vertex_cap(max_vertices):
     return source, cap
 
 
-def _capped(shape: SkewShape, n: int, max_vertices: int = None, content=None) -> tuple:
+def _capped(shape: SkewShape, n: int, max_vertices: int = None, content=None) -> _Leaves:
     """_enumerate(shape, n, content=content), refused past the vertex cap:
-    the enumeration stops at cap + 1 tableaux, so a refusal costs little."""
+    the enumeration stops at cap + 1 words and builds no tableau, so a
+    refusal costs little."""
     source, cap = _vertex_cap(max_vertices)
     tableaux = _enumerate(shape, n, cap + 1, content)
     if len(tableaux) > cap:

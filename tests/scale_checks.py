@@ -7,9 +7,10 @@ out. Run it by path (CI does):
     python -m pytest -q tests/scale_checks.py
 """
 
+import hashlib
 import json
 
-from shifted_crystal import CrystalGraph, graph, reversal, verify_cactus
+from shifted_crystal import CrystalGraph, SkewShape, enumerate_tableaux, graph, reversal, verify_cactus
 from shifted_crystal.cli import main
 
 from oracles import reversal_by_composition, target_ids_by_write_back, walk_tables_by_components
@@ -69,6 +70,17 @@ def test_target_ids_match_the_write_back_oracle_at_scale(graph_cache, monkeypatc
         assert lists == target_ids_by_write_back(g, i, *fields), i
         assert lists[:2] == (g.down[i, False], g.down[i, True]), i
     assert len(calls) == 1256
+
+
+def test_enumeration_of_the_point_query_shape_keeps_its_words_and_order():
+    # the 340 460 words of B((7,5,3,1)/(4,2),5), in enumeration order, as
+    # recorded when each tableau was built during the search
+    leaves = enumerate_tableaux(SkewShape.parse("7,5,3,1/4,2"), 5)
+    digest = hashlib.sha256()
+    for T in leaves:
+        digest.update(bytes(T.word_codes))
+    assert len(leaves) == 340460
+    assert digest.hexdigest() == "5a91c4aed109903745e820bc6fc7701f68ad3053c2d1f9177fad6d4272610d40"
 
 
 def test_verify_knuth_at_full_scope_and_seed_0(capsys):

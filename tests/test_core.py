@@ -1,6 +1,7 @@
 """Partitions, shapes, words, tableaux, enumeration, restriction, splicing."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -321,7 +322,8 @@ def test_enumerate_members_valid_and_sorted():
 
 
 def test_enumerate_empty_cases():
-    assert enumerate_tableaux(SkewShape.parse(""), 3) == (EMPTY_TABLEAU,)
+    empty = enumerate_tableaux(SkewShape.parse(""), 3)
+    assert empty == (EMPTY_TABLEAU,) and list(empty) == [empty[0]] == [empty[-1]] == [EMPTY_TABLEAU]
     # one-column shape too tall for the alphabet
     assert enumerate_tableaux(SkewShape.parse("2,1"), 1) == ()
     with pytest.raises(ValueError, match="non-negative"):
@@ -473,6 +475,47 @@ def test_enumerated_leaves_equal_checked_tableaux():
         assert T.shape is shared
         checked = ShiftedTableau(shape, T.word_codes)
         assert checked == T and hash(checked) == hash(T)
+
+
+@pytest.mark.parametrize("shape_text, n", [("4,2/1", 3), ("2", 130)])
+def test_enumeration_is_a_read_only_sequence_of_the_oracle_tableaux(shape_text, n):
+    # n = 130 puts codes above 255 in the words, which a list then holds
+    shape = SkewShape.parse(shape_text)
+    want = _set_based_enumeration(shape, n)
+    got = enumerate_tableaux(shape, n)
+    assert type(got.codes) is (list if 2 * n > 255 else bytearray)
+    assert len(got) == len(want) > 2
+    assert [got[k] for k in range(len(want))] == list(want)
+    assert [got[-k] for k in range(1, len(want) + 1)] == [want[-k] for k in range(1, len(want) + 1)]
+    for k in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError, match=f"tableau index {k} out of range"):
+            got[k]
+    for cut in (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-3, None),
+                slice(5, 2), slice(2, 10 ** 6)):
+        assert type(got[cut]) is tuple and got[cut] == want[cut], cut
+    assert list(got) == list(want)
+    assert got == want and want == got and not got != want and not want != got
+    assert got == enumerate_tableaux(shape, n)
+    for other in (want[:-1], want[::-1], enumerate_tableaux(shape, n - 1)):
+        assert got != other and other != got and not got == other
+    assert got.__eq__(list(want)) is NotImplemented and got != list(want)
+    # the limit and content cases on the same buffer
+    assert _enumerate(shape, n, 3) == want[:3] and _enumerate(shape, n, len(want) + 1) == want
+    wt = want[-1].weight(n)
+    assert _enumerate(shape, n, content=wt) == tuple(T for T in want if T.weight(n) == wt)
+
+
+def test_an_enumeration_retains_its_words_alone():
+    # B((6,4,2),5): 24 880 words of 12 letters, about 0.3 MB in one buffer,
+    # where the tableaux themselves would hold about 5 MB
+    tracemalloc.start()
+    try:
+        leaves = enumerate_tableaux(SkewShape.parse("6,4,2"), 5)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(leaves) == 24880
+    assert retained < 1 << 20, retained
 
 
 def test_equal_value_objects_hash_their_defining_fields():

@@ -80,11 +80,21 @@ def test_vertex_cap():
     assert len(build_graph(SkewShape.parse("2"), 2, max_vertices=3).vertices) == 3
 
 
+def _recorded_enumerations(monkeypatch):
+    """A list that gains each result graph._enumerate returns from now on."""
+    results, enumerate_ = [], graph_module._enumerate
+    monkeypatch.setattr(graph_module, "_enumerate",
+                        lambda *args: results.append(enumerate_(*args)) or results[-1])
+    return results
+
+
 def test_refused_graph_builds_at_most_cap_plus_one_tableaux(monkeypatch):
     # B((7,5,3,1),5) has 153 600 vertices; the refusal must not enumerate them.
-    # The enumerator builds its tableaux through core._leaf, the rest through
-    # the constructor: both are counted.
+    # The enumeration stores at most cap + 1 words.  Tableaux are built on
+    # access through core._leaf, the rest through the constructor: both are
+    # counted.
     built = [0]
+    results = _recorded_enumerations(monkeypatch)
     original, leaf = ShiftedTableau.__init__, core_module._leaf
 
     def counted(self, *args, **kwargs):
@@ -99,7 +109,9 @@ def test_refused_graph_builds_at_most_cap_plus_one_tableaux(monkeypatch):
     monkeypatch.setattr(core_module, "_leaf", counted_leaf)
     with pytest.raises(ValueError, match="more than 1000 vertices"):
         build_graph(SkewShape.parse("7,5,3,1"), 5, max_vertices=1000)
-    assert 0 < built[0] <= 1001
+    [result] = results
+    assert 0 < len(result) <= 1001
+    assert built[0] <= 1001
 
 
 @pytest.mark.parametrize("value", [-5, 2.5, "7", True])
@@ -462,9 +474,10 @@ def test_lrs_weight_counts_match_the_rectifying_oracle():
 def test_lrs_count_past_the_cap_builds_at_most_cap_plus_one_tableaux(monkeypatch):
     # B((9,7,5,3,1)/(3,1),5) has more than 2 000 000 tableaux, 904 of them of
     # content (8,6,4,2,1): only those are enumerated, and past the cap only
-    # cap + 1 of them
+    # the words of cap + 1 of them are stored
     lam, mu, nu = (9, 7, 5, 3, 1), (3, 1), (8, 6, 4, 2, 1)
     built, leaf = [0], core_module._leaf
+    results = _recorded_enumerations(monkeypatch)
 
     def counted_leaf(*args):
         built[0] += 1
@@ -475,7 +488,9 @@ def test_lrs_count_past_the_cap_builds_at_most_cap_plus_one_tableaux(monkeypatch
     with pytest.raises(ValueError) as exc:
         lrs_count(lam, mu, nu)
     assert str(exc.value) == "more than 100 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override"
-    assert 0 < built[0] <= 101
+    [result] = results
+    assert 0 < len(result) <= 101
+    assert built[0] <= 101
     monkeypatch.delenv("SHIFTED_CRYSTAL_MAX_VERTICES")
     assert lrs_count(lam, mu, nu) == 8
     # its symmetry mirror, complements in the staircase of lam_1 = 9
@@ -488,6 +503,7 @@ def test_lrs_count_reads_the_vertex_cap_on_every_call(monkeypatch):
     lam, mu, nu = (9, 7, 5, 3, 1), (3, 1), (8, 6, 4, 2, 1)
     assert lrs_count(lam, mu, nu) == 8
     built, leaf = [0], core_module._leaf
+    results = _recorded_enumerations(monkeypatch)
 
     def counted_leaf(*args):
         built[0] += 1
@@ -498,7 +514,9 @@ def test_lrs_count_reads_the_vertex_cap_on_every_call(monkeypatch):
     with pytest.raises(ValueError) as exc:
         lrs_count(lam, mu, nu)
     assert str(exc.value) == "more than 100 vertices; raise SHIFTED_CRYSTAL_MAX_VERTICES to override"
-    assert 0 < built[0] <= 101
+    [result] = results
+    assert 0 < len(result) <= 101
+    assert built[0] <= 101
     monkeypatch.setenv("SHIFTED_CRYSTAL_MAX_VERTICES", "abc")
     with pytest.raises(ValueError) as exc:
         lrs_count(lam, mu, nu)

@@ -20,6 +20,7 @@ from shifted_crystal import (
     Word,
     build_graph,
     classify_string,
+    enumerate_tableaux,
 )
 
 LAYERS = ("core", "jdt", "operators", "involutions", "graph", "verify")
@@ -77,6 +78,7 @@ REPRS = {
                          "StringDescriptor(color=1, kind=collapsed, size=4)"),
     "Component": (_G.components[0], "Component(2 vertices)"),
     "CrystalGraph": (_G, "CrystalGraph(shape=2,1/, n=2, |V|=2, |E|=1)"),
+    "_Leaves": (enumerate_tableaux(_G.shape, 2), "_Leaves(SkewShape((2, 1), ()), 2 tableaux)"),
 }
 
 
